@@ -23,11 +23,11 @@
 //
 // RETRY_AFTER / DEADLINE_EXCEEDED are definitive nacks: they are only ever
 // sent for requests that never reached the catalog (shed at admission or
-// expired at dequeue). Once a mutation starts executing it runs to
-// completion and the answer is OK or ERR — the one indeterminate window is
-// a connection that dies after the request was sent but before any response
-// arrives, which the chaos harness (tests/net/chaos.h) accounts for
-// explicitly.
+// expired while waiting for an execution slot). Once a mutation starts
+// executing it runs to completion and the answer is OK or ERR — the one
+// indeterminate window is a connection that dies after the request was sent
+// but before any response arrives, which the chaos harness
+// (tests/net/chaos.h) accounts for explicitly.
 
 #ifndef TYDER_NET_PROTOCOL_H_
 #define TYDER_NET_PROTOCOL_H_

@@ -15,12 +15,6 @@ namespace tyder::net {
 
 namespace {
 
-int64_t NowMs() {
-  return std::chrono::duration_cast<std::chrono::milliseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
 bool LooksDegraded(const Status& s) {
   return s.code() == StatusCode::kFailedPrecondition &&
          s.message().find("read-only degraded mode") != std::string::npos;
@@ -40,9 +34,6 @@ Result<std::unique_ptr<Server>> Server::Start(storage::DurableCatalog* db,
   TYDER_ASSIGN_OR_RETURN(server->listener_,
                          ListenLoopback(options.port, &server->port_));
   server->accept_thread_ = std::thread([s = server.get()] { s->AcceptLoop(); });
-  server->reaper_thread_ = std::thread([s = server.get()] { s->ReaperLoop(); });
-  for (int i = 0; i < options.workers; ++i)
-    server->workers_.emplace_back([s = server.get()] { s->WorkerLoop(); });
   TYDER_RECORD_V(kMark, "net.server_start",
                  static_cast<int64_t>(server->port_));
   return server;
@@ -52,39 +43,30 @@ Server::~Server() { Stop(); }
 
 void Server::Stop() {
   if (stopped_.exchange(true)) return;
-  stopping_.store(true, std::memory_order_release);
+  {
+    // Set under the gate's lock, where slot waiters test it, so none misses
+    // the wake-up. Waiters give up and close their connections unanswered
+    // — an indeterminate outcome by the protocol.
+    std::lock_guard<std::mutex> lock(gate_mu_);
+    stopping_.store(true, std::memory_order_release);
+    gate_cv_.notify_all();
+  }
   // Wake the tyderd main thread parked in WaitForShutdownRequest.
   shutdown_cv_.notify_all();
 
-  // Accept and reaper first: no new connections, no concurrent joins of
-  // reader threads from the reaper while we tear the map down below.
+  // Accept next: no new connections, and nobody else touches the map.
   if (accept_thread_.joinable()) accept_thread_.join();
-  if (reaper_thread_.joinable()) reaper_thread_.join();
 
-  // Workers next: they drain nothing further once stopping_ is set; any
-  // request already executing runs to completion and writes its response.
-  queue_cv_.notify_all();
-  for (std::thread& w : workers_) w.join();
-  workers_.clear();
-
-  // Unexecuted queue items get no response — their connections close
-  // underneath them, which the protocol defines as an indeterminate
-  // outcome. Mark them done so their readers unblock.
-  {
-    std::lock_guard<std::mutex> lock(queue_mu_);
-    for (auto& item : queue_) MarkDone(*item);
-    queue_.clear();
-  }
-
-  // Tear down every connection and join its reader.
-  std::map<uint64_t, std::shared_ptr<Connection>> conns;
+  // Stop reading: idle readers see EOF and exit at once; a request already
+  // executing runs to completion and writes its response first.
+  std::map<uint64_t, std::unique_ptr<Connection>> conns;
   {
     std::lock_guard<std::mutex> lock(conns_mu_);
     conns.swap(conns_);
   }
   for (auto& [id, conn] : conns) {
-    TearDown(*conn);
-    if (conn->reader.joinable()) conn->reader.join();
+    conn->fd.ShutdownRead();
+    conn->reader.join();
   }
   TYDER_RECORD(kMark, "net.server_stop");
 }
@@ -118,8 +100,10 @@ int Server::active_connections() const {
 
 void Server::AcceptLoop() {
   while (!stopping_.load(std::memory_order_acquire)) {
-    // Short poll windows so Stop() is noticed without a wakeup pipe.
+    // Short poll windows so Stop() is noticed without a wakeup pipe, and
+    // seats of closed connections free up within one window.
     Result<Fd> accepted = Accept(listener_.get(), Deadline::AfterMs(100));
+    JoinExitedReaders();
     if (!accepted.ok()) {
       if (IsTimeout(accepted.status())) continue;
       if (stopping_.load(std::memory_order_acquire)) break;
@@ -137,23 +121,9 @@ void Server::AcceptLoop() {
       continue;  // ~Fd closes it
     }
 
-    std::shared_ptr<Connection> conn;
-    bool full = false;
-    {
-      std::lock_guard<std::mutex> lock(conns_mu_);
-      if (static_cast<int>(conns_.size()) >= options_.max_connections) {
-        full = true;
-      } else {
-        conn = std::make_shared<Connection>();
-        conn->id = next_conn_id_++;
-        conn->fd = std::move(*accepted);
-        conn->last_active_ms.store(NowMs(), std::memory_order_relaxed);
-        conns_.emplace(conn->id, conn);
-      }
-    }
-    if (full) {
-      // Shed at the door: answer, don't stall. Best-effort write outside
-      // the connection lock — the client may already be gone.
+    if (active_connections() >= options_.max_connections) {
+      // Shed at the door: answer, don't stall. Best-effort write — the
+      // client may already be gone.
       n_shed_.fetch_add(1);
       TYDER_COUNT("net.shed");
       TYDER_RECORD(kMark, "net.shed_conn");
@@ -163,42 +133,53 @@ void Server::AcceptLoop() {
           Deadline::AfterMs(options_.write_timeout_ms));
       continue;
     }
-    {
-      // Spawned under conns_mu_: a reader that dies instantly (injected
-      // accept fault, peer RST) flips reader_done while this assignment is
-      // still in flight, and the reaper harvests `reader` under the same
-      // lock — unserialized, it can move from a half-assigned thread.
-      std::lock_guard<std::mutex> lock(conns_mu_);
-      conn->reader = std::thread([this, conn] { ReaderLoop(conn); });
-    }
+    uint64_t id = next_conn_id_++;
+    auto conn = std::make_unique<Connection>();
+    conn->id = id;
+    conn->fd = std::move(*accepted);
+    conn->reader = std::thread([this, c = conn.get()] { ReaderLoop(*c); });
+    std::lock_guard<std::mutex> lock(conns_mu_);
+    conns_.emplace(id, std::move(conn));
   }
 }
 
-void Server::ReaderLoop(std::shared_ptr<Connection> conn) {
-  while (!stopping_.load(std::memory_order_acquire) &&
-         !conn->closing.load(std::memory_order_acquire)) {
+void Server::JoinExitedReaders() {
+  std::lock_guard<std::mutex> lock(conns_mu_);
+  for (auto it = conns_.begin(); it != conns_.end();) {
+    if (!it->second->reader_done.load(std::memory_order_acquire)) {
+      ++it;
+      continue;
+    }
+    it->second->reader.join();  // returns at once: the reader is exiting
+    it = conns_.erase(it);
+  }
+}
+
+void Server::ReaderLoop(Connection& conn) {
+  while (!stopping_.load(std::memory_order_acquire)) {
+    // One deadline for the whole frame, so a peer trickling bytes is as
+    // idle as a silent one.
     Deadline idle = options_.idle_timeout_ms == 0
                         ? Deadline::Infinite()
                         : Deadline::AfterMs(options_.idle_timeout_ms);
     Result<std::string> frame =
-        ReadFrame(conn->fd.get(), idle, options_.max_frame_bytes);
+        ReadFrame(conn.fd.get(), idle, options_.max_frame_bytes);
     if (!frame.ok()) {
       if (IsTimeout(frame.status())) {
         TYDER_COUNT("net.idle_reaped");
         TYDER_RECORD_V(kMark, "net.idle_reaped",
-                       static_cast<int64_t>(conn->id));
+                       static_cast<int64_t>(conn.id));
       } else if (!IsCleanClose(frame.status())) {
         TYDER_COUNT("net.frame_errors");
       }
       break;
     }
-    conn->last_active_ms.store(NowMs(), std::memory_order_relaxed);
 
     Result<Request> request = ParseRequest(*frame);
     if (!request.ok()) {
       // The frame was intact (CRC passed); the stream stays synchronized,
       // so a malformed request earns an error, not a disconnect.
-      WriteResponse(*conn, ErrResponse(request.status()));
+      if (!WriteResponse(conn, ErrResponse(request.status()))) break;
       continue;
     }
 
@@ -206,156 +187,102 @@ void Server::ReaderLoop(std::shared_ptr<Connection> conn) {
       // The connection dies after the request was read but before it
       // executes: a definitive nack the client cannot observe.
       TYDER_RECORD_V(kMark, "net.drop_mid_request",
-                     static_cast<int64_t>(conn->id));
+                     static_cast<int64_t>(conn.id));
       break;
     }
 
-    auto item = std::make_shared<WorkItem>();
-    item->conn = conn;
-    item->deadline = request->deadline_ms == 0
-                         ? Deadline::Infinite()
-                         : Deadline::AfterMs(request->deadline_ms);
-    item->request = std::move(*request);
-    {
-      std::unique_lock<std::mutex> lock(queue_mu_);
-      if (stopping_.load(std::memory_order_acquire)) break;
-      if (queue_.size() >= options_.queue_capacity) {
-        lock.unlock();
-        n_shed_.fetch_add(1);
-        TYDER_COUNT("net.shed");
-        TYDER_RECORD_V(kMark, "net.shed_queue",
-                       static_cast<int64_t>(options_.queue_capacity));
-        WriteResponse(*conn, RetryAfterResponse(options_.retry_after_ms));
-        continue;
-      }
-      queue_.push_back(item);
-      TYDER_RECORD_HIST("net.queue_depth",
-                        static_cast<int64_t>(queue_.size()));
-    }
-    queue_cv_.notify_one();
-
-    // One outstanding request per connection: wait for its response to be
-    // on the wire (or the connection to be torn down) before reading the
-    // next frame.
-    std::unique_lock<std::mutex> lock(item->mu);
-    item->cv.wait(lock, [&item] { return item->done; });
+    std::optional<Response> response = Serve(*request);
+    if (!response.has_value() || !WriteResponse(conn, *response)) break;
   }
-  TearDown(*conn);
-  conn->reader_done.store(true, std::memory_order_release);
+  n_disconnects_.fetch_add(1);
+  TYDER_COUNT("net.disconnects");
+  TYDER_RECORD_V(kMark, "net.disconnect", static_cast<int64_t>(conn.id));
+  // Shutdown, not close: Stop() may still be shutting the fd down from its
+  // thread; the Connection destructor closes it after the join.
+  conn.fd.ShutdownBoth();
+  conn.reader_done.store(true, std::memory_order_release);
 }
 
-void Server::WorkerLoop() {
-  for (;;) {
-    std::shared_ptr<WorkItem> item;
-    {
-      std::unique_lock<std::mutex> lock(queue_mu_);
-      queue_cv_.wait(lock, [this] {
-        return stopping_.load(std::memory_order_acquire) || !queue_.empty();
-      });
-      if (stopping_.load(std::memory_order_acquire)) return;
-      item = std::move(queue_.front());
-      queue_.pop_front();
+std::optional<Response> Server::Serve(const Request& request) {
+  Deadline deadline = request.deadline_ms == 0
+                          ? Deadline::Infinite()
+                          : Deadline::AfterMs(request.deadline_ms);
+  {
+    std::unique_lock<std::mutex> lock(gate_mu_);
+    if (running_ < options_.workers) {
+      TYDER_RECORD_HIST("net.queue_depth", 0);
+    } else if (waiting_ >= options_.queue_capacity) {
+      lock.unlock();
+      n_shed_.fetch_add(1);
+      TYDER_COUNT("net.shed");
+      TYDER_RECORD_V(kMark, "net.shed_queue",
+                     static_cast<int64_t>(options_.queue_capacity));
+      return RetryAfterResponse(options_.retry_after_ms);
+    } else {
+      ++waiting_;
+      TYDER_RECORD_HIST("net.queue_depth", static_cast<int64_t>(waiting_));
+      auto ready = [this] {
+        return stopping_.load(std::memory_order_acquire) ||
+               running_ < options_.workers;
+      };
+      if (deadline.infinite()) {
+        gate_cv_.wait(lock, ready);
+      } else {
+        gate_cv_.wait_until(lock, deadline.at(), ready);
+      }
+      --waiting_;
     }
-
-    Response response;
-    if (item->deadline.expired()) {
-      // The budget died in the queue: refuse before touching the catalog.
+    if (stopping_.load(std::memory_order_acquire)) return std::nullopt;
+    if (deadline.expired()) {
+      // The budget ran out waiting for a slot: refuse before touching the
+      // catalog.
+      lock.unlock();
       n_deadline_misses_.fetch_add(1);
       TYDER_COUNT("net.deadline_misses");
       TYDER_RECORD(kMark, "net.deadline_miss");
-      response = DeadlineExceededResponse();
-    } else {
-      TYDER_SPAN("net.request");
-      n_requests_.fetch_add(1);
-      TYDER_COUNT("net.requests");
-      auto start = std::chrono::steady_clock::now();
-      response = Execute(item->request);
-      TYDER_RECORD_HIST(
-          "net.request_ns",
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - start)
-              .count());
+      return DeadlineExceededResponse();
     }
-    WriteResponse(*item->conn, response);
-    MarkDone(*item);
+    ++running_;
   }
+
+  TYDER_SPAN("net.request");
+  n_requests_.fetch_add(1);
+  TYDER_COUNT("net.requests");
+  auto start = std::chrono::steady_clock::now();
+  Response response = Execute(request);
+  TYDER_RECORD_HIST("net.request_ns",
+                    std::chrono::duration_cast<std::chrono::nanoseconds>(
+                        std::chrono::steady_clock::now() - start)
+                        .count());
+  {
+    std::lock_guard<std::mutex> lock(gate_mu_);
+    --running_;
+  }
+  // notify_all, not notify_one: a waiter whose deadline passes as it wakes
+  // gives up without taking the slot and must not swallow the only wake-up.
+  gate_cv_.notify_all();
+  return response;
 }
 
-void Server::ReaperLoop() {
-  while (!stopping_.load(std::memory_order_acquire)) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    int64_t now = NowMs();
-    std::vector<std::shared_ptr<Connection>> stale;
-    std::vector<std::thread> finished;
-    {
-      std::lock_guard<std::mutex> lock(conns_mu_);
-      for (auto it = conns_.begin(); it != conns_.end();) {
-        Connection& conn = *it->second;
-        if (conn.reader_done.load(std::memory_order_acquire)) {
-          // The reader exited (disconnect, reap, fault): collect its thread
-          // and drop the map's reference.
-          finished.push_back(std::move(conn.reader));
-          it = conns_.erase(it);
-          continue;
-        }
-        // The frame-read deadline inside ReaderLoop is the primary idle
-        // mechanism; this sweep is the backstop for a connection parked in
-        // a state that poll alone cannot age out (e.g. mid-frame trickle).
-        if (options_.idle_timeout_ms != 0 &&
-            now - conn.last_active_ms.load(std::memory_order_relaxed) >
-                static_cast<int64_t>(2 * options_.idle_timeout_ms)) {
-          stale.push_back(it->second);
-        }
-        ++it;
-      }
-    }
-    for (std::thread& t : finished)
-      if (t.joinable()) t.join();
-    for (auto& conn : stale) TearDown(*conn);
-  }
-}
-
-void Server::WriteResponse(Connection& conn, const Response& response) {
-  std::lock_guard<std::mutex> lock(conn.write_mu);
-  if (conn.closing.load(std::memory_order_acquire)) return;
+bool Server::WriteResponse(Connection& conn, const Response& response) {
   if (TYDER_FAULT_CONSUME("net.write.response")) {
     // The client never hears about work that may already be durable — the
-    // one indeterminate window the protocol admits. Tear the connection
-    // down so the client sees a hard disconnect, not a hang.
+    // one indeterminate window the protocol admits. Close the connection so
+    // the client sees a hard disconnect, not a hang.
     n_response_write_failures_.fetch_add(1);
     TYDER_COUNT("net.response_write_failures");
     TYDER_RECORD(kMark, "net.response_write_fault");
-    TearDown(conn);
-    return;
+    return false;
   }
   Status written =
       WriteFrame(conn.fd.get(), EncodeResponse(response),
                  Deadline::AfterMs(options_.write_timeout_ms));
-  if (!written.ok()) {
-    // Slow or dead reader: disconnect rather than park a worker.
-    if (IsTimeout(written)) TYDER_COUNT("net.slow_reader_drops");
-    n_response_write_failures_.fetch_add(1);
-    TYDER_COUNT("net.response_write_failures");
-    TearDown(conn);
-  }
-}
-
-void Server::TearDown(Connection& conn) {
-  if (conn.closing.exchange(true)) return;
-  n_disconnects_.fetch_add(1);
-  TYDER_COUNT("net.disconnects");
-  TYDER_RECORD_V(kMark, "net.disconnect", static_cast<int64_t>(conn.id));
-  // Shutdown (not close): the reader and a concurrent worker may still hold
-  // the fd; the Connection destructor closes it once both let go.
-  conn.fd.ShutdownBoth();
-}
-
-void Server::MarkDone(WorkItem& item) {
-  {
-    std::lock_guard<std::mutex> lock(item.mu);
-    item.done = true;
-  }
-  item.cv.notify_all();
+  if (written.ok()) return true;
+  // Slow or dead reader: disconnect rather than wait on it.
+  if (IsTimeout(written)) TYDER_COUNT("net.slow_reader_drops");
+  n_response_write_failures_.fetch_add(1);
+  TYDER_COUNT("net.response_write_failures");
+  return false;
 }
 
 // --- command registry ------------------------------------------------------
@@ -396,13 +323,10 @@ Response Server::HandleHealth() {
   body.push_back(
       "views " +
       std::to_string(pin.get() != nullptr ? pin->views().size() : 0));
+  body.push_back("connections " + std::to_string(active_connections()));
   {
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    body.push_back("connections " + std::to_string(conns_.size()));
-  }
-  {
-    std::lock_guard<std::mutex> lock(queue_mu_);
-    body.push_back("queue " + std::to_string(queue_.size()));
+    std::lock_guard<std::mutex> lock(gate_mu_);
+    body.push_back("queue " + std::to_string(waiting_));
   }
   return OkResponse(std::move(body));
 }
@@ -585,8 +509,9 @@ Response Server::HandleAdmin(const Request& request) {
     return OkResponse({"armed " + request.args[0] + " x" + request.args[1]});
   }
   if (cmd == "sleep") {
-    // Test/ops aid: occupies one worker for a bounded time, for driving the
-    // admission-control paths (queue fill, deadline expiry) from outside.
+    // Test/ops aid: holds an execution slot for a bounded time, for driving
+    // the admission-control paths (slot-gate shed, deadline expiry) from
+    // outside.
     if (request.args.size() != 1)
       return ErrResponse(Status::InvalidArgument("sleep needs <ms>"));
     int ms = 0;

@@ -1,24 +1,27 @@
 // tyderd's serving core: a multi-client schema service over a
 // DurableCatalog that stays correct and available under fault.
 //
-// Threading model. One accept thread, one reader thread per live
-// connection, a fixed pool of worker threads draining a bounded work queue,
-// and one reaper thread. A connection carries ONE outstanding request at a
-// time (the reader blocks until the worker's response is on the wire before
-// reading the next frame), so responses never need correlation ids;
-// concurrency comes from many connections sharing the worker pool and the
-// group-commit window underneath it.
+// Threading model. One accept thread and one reader thread per live
+// connection. A connection carries ONE outstanding request at a time, and
+// its reader executes that request itself and writes the response before
+// reading the next frame, so responses never need correlation ids;
+// concurrency comes from many connections and the group-commit window
+// underneath them. A slot gate (one mutex + condvar) bounds how many
+// requests execute at once (`workers`) and how many wait for a slot
+// (`queue_capacity`). Waiters are not served in arrival order.
 //
 // Admission control — the server answers, it never stalls:
-//   * accept with all max_connections slots taken → a RETRY_AFTER frame is
+//   * accept with all max_connections seats taken → a RETRY_AFTER frame is
 //     written to the new connection and it is closed;
-//   * work queue full at enqueue → RETRY_AFTER on that request, connection
-//     stays up;
-//   * request deadline (protocol.h) already expired when a worker dequeues
-//     it → DEADLINE_EXCEEDED, the request never touches the catalog;
-//   * idle connections are reaped after idle_timeout_ms;
+//   * all slots busy and queue_capacity requests already waiting →
+//     RETRY_AFTER on that request, connection stays up;
+//   * request deadline (protocol.h) passes before a slot frees up →
+//     DEADLINE_EXCEEDED, the request never touches the catalog;
+//   * a connection that sends no complete frame for idle_timeout_ms is
+//     closed (a request that is executing is never idle);
 //   * a reader too slow to drain its response gets write_timeout_ms of
-//     patience and is then disconnected (backpressure never parks a worker).
+//     patience and is then disconnected (the slot is released before the
+//     write, so backpressure never holds one).
 //
 // RETRY_AFTER and DEADLINE_EXCEEDED are definitive nacks (the catalog was
 // not touched). A mutation that begins executing runs to completion even if
@@ -49,13 +52,11 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <string>
+#include <optional>
 #include <thread>
-#include <vector>
 
 #include "common/result.h"
 #include "net/frame.h"
@@ -68,8 +69,8 @@ namespace tyder::net {
 struct ServerOptions {
   uint16_t port = 0;  // 0 = ephemeral (tests); port() reports the real one
   int max_connections = 64;
-  size_t queue_capacity = 128;
-  int workers = 4;
+  size_t queue_capacity = 128;  // requests waiting for an execution slot
+  int workers = 4;              // requests executing at once
   uint64_t idle_timeout_ms = 60'000;   // 0 = never reap
   uint64_t write_timeout_ms = 5'000;   // slow-reader patience
   uint64_t retry_after_ms = 50;        // hint sent with RETRY_AFTER
@@ -84,7 +85,7 @@ struct ServerOptions {
 struct ServerStats {
   uint64_t accepted = 0;
   uint64_t requests = 0;
-  uint64_t shed = 0;              // RETRY_AFTER answers (accept + enqueue)
+  uint64_t shed = 0;              // RETRY_AFTER answers (door + slot gate)
   uint64_t deadline_misses = 0;   // DEADLINE_EXCEEDED answers
   uint64_t disconnects = 0;       // connections torn down for any reason
   uint64_t degraded_refusals = 0;
@@ -103,8 +104,9 @@ class Server {
 
   uint16_t port() const { return port_; }
 
-  // Stops accepting, fails the queue, tears down every connection, joins
-  // all threads. Idempotent.
+  // Stops accepting and reading, closes the connections of requests still
+  // waiting for a slot unanswered, lets executing requests finish and
+  // answer, joins all threads. Idempotent.
   void Stop();
 
   // Blocks until an admin `shutdown` request arrives, RequestShutdown() is
@@ -132,34 +134,24 @@ class Server {
     uint64_t id = 0;
     Fd fd;
     std::thread reader;
-    std::mutex write_mu;                 // serializes frames onto the wire
-    std::atomic<bool> closing{false};    // torn down; stop touching the fd
     std::atomic<bool> reader_done{false};
-    std::atomic<int64_t> last_active_ms{0};  // steady-clock ms, for reaping
-  };
-
-  struct WorkItem {
-    std::shared_ptr<Connection> conn;
-    Request request;
-    Deadline deadline;
-    std::mutex mu;
-    std::condition_variable cv;
-    bool done = false;
   };
 
   Server(storage::DurableCatalog* db, ServerOptions options)
       : db_(db), options_(options) {}
 
   void AcceptLoop();
-  void ReaderLoop(std::shared_ptr<Connection> conn);
-  void WorkerLoop();
-  void ReaperLoop();
+  void JoinExitedReaders();
+  void ReaderLoop(Connection& conn);
 
-  // Writes `response` to the connection under its write mutex; on failure
-  // (slow reader, injected response-write fault) tears the connection down.
-  void WriteResponse(Connection& conn, const Response& response);
-  void TearDown(Connection& conn);
-  void MarkDone(WorkItem& item);
+  // Runs `request` under the slot gate. nullopt when the server stops while
+  // the request waits; its connection then closes unanswered.
+  std::optional<Response> Serve(const Request& request);
+
+  // Writes `response` to the connection; false when it did not get through
+  // (slow reader, injected response-write fault) and the connection must
+  // close.
+  bool WriteResponse(Connection& conn, const Response& response);
 
   // Command handlers (called from Execute).
   Response HandleQuery(const Request& request);
@@ -174,18 +166,20 @@ class Server {
   Fd listener_;
 
   std::thread accept_thread_;
-  std::thread reaper_thread_;
-  std::vector<std::thread> workers_;
   std::atomic<bool> stopping_{false};
   std::atomic<bool> stopped_{false};
 
+  // Only the accept thread inserts and erases (Stop() after joining it).
   mutable std::mutex conns_mu_;
-  std::map<uint64_t, std::shared_ptr<Connection>> conns_;
+  std::map<uint64_t, std::unique_ptr<Connection>> conns_;
   uint64_t next_conn_id_ = 1;
 
-  std::mutex queue_mu_;
-  std::condition_variable queue_cv_;
-  std::deque<std::shared_ptr<WorkItem>> queue_;
+  // The slot gate: requests executing (at most workers) and waiting for a
+  // slot (at most queue_capacity).
+  std::mutex gate_mu_;
+  std::condition_variable gate_cv_;
+  int running_ = 0;
+  size_t waiting_ = 0;
 
   std::mutex shutdown_mu_;
   std::condition_variable shutdown_cv_;

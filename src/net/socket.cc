@@ -47,6 +47,17 @@ Status PollOne(int fd, short events, Deadline deadline, const char* what) {
 
 }  // namespace
 
+Deadline Deadline::AfterMs(uint64_t ms) {
+  auto now = std::chrono::steady_clock::now();
+  // now + ms would overflow the clock's signed nanoseconds (UB).
+  auto room = std::chrono::duration_cast<std::chrono::milliseconds>(
+      std::chrono::steady_clock::time_point::max() - now);
+  if (ms >= static_cast<uint64_t>(room.count())) return Infinite();
+  Deadline d;
+  d.at_ = now + std::chrono::milliseconds(ms);
+  return d;
+}
+
 int Deadline::PollTimeoutMs() const {
   if (!at_.has_value()) return -1;
   auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -81,6 +92,10 @@ void Fd::Close() {
 
 void Fd::ShutdownBoth() {
   if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
+}
+
+void Fd::ShutdownRead() {
+  if (fd_ >= 0) ::shutdown(fd_, SHUT_RD);
 }
 
 Result<Fd> ListenLoopback(uint16_t port, uint16_t* bound_port) {

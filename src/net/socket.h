@@ -29,19 +29,20 @@ namespace tyder::net {
 
 // Absolute budget for one operation (or one request pipeline). Infinite()
 // never expires; AfterMs(0) is already expired — a zero-deadline request is
-// refused, not raced.
+// refused, not raced. A budget too large for steady_clock to represent
+// (~292 years of nanoseconds, less the uptime) is Infinite().
 class Deadline {
  public:
   static Deadline Infinite() { return Deadline(); }
-  static Deadline AfterMs(uint64_t ms) {
-    Deadline d;
-    d.at_ = std::chrono::steady_clock::now() + std::chrono::milliseconds(ms);
-    return d;
-  }
+  static Deadline AfterMs(uint64_t ms);
 
   bool infinite() const { return !at_.has_value(); }
   bool expired() const {
     return at_.has_value() && std::chrono::steady_clock::now() >= *at_;
+  }
+  // The expiry instant; time_point::max() when infinite.
+  std::chrono::steady_clock::time_point at() const {
+    return at_.value_or(std::chrono::steady_clock::time_point::max());
   }
   // Remaining budget as a poll(2) timeout: -1 for infinite, else clamped to
   // [0, INT_MAX] milliseconds (0 == already expired: poll just probes).
@@ -71,6 +72,8 @@ class Fd {
   // Half-close + full close from another thread wakes a blocked peer loop;
   // shutdown(2) is async-signal-safe with respect to concurrent poll.
   void ShutdownBoth();
+  // Read side only: a blocked read sees EOF, writes still go through.
+  void ShutdownRead();
 
  private:
   int fd_ = -1;

@@ -55,7 +55,7 @@ Outcome Classify(const Result<Response>& answer, bool storage_faults,
       return Outcome::kNacked;  // shed at admission: catalog untouched
     case ResponseKind::kDeadlineExceeded:
       ++report->deadline_exceeded;
-      return Outcome::kNacked;  // expired at dequeue: catalog untouched
+      return Outcome::kNacked;  // expired awaiting a slot: catalog untouched
     case ResponseKind::kDegraded:
       ++report->degraded_refusals;
       return Outcome::kNacked;  // refused by the read-only gate
@@ -266,9 +266,10 @@ Result<ChaosReport> RunChaosCampaign(const ChaosOptions& options) {
 
 namespace {
 
-// Right after a campaign the door can still be busy — seats drain only as
-// the reaper notices closed peers, and queued requests from dead clients
-// take a moment to flush. A verifier is a well-behaved client: it honors
+// Right after a campaign the door can still be busy — a closed peer's seat
+// frees up only when the accept loop joins its reader (within its 100 ms
+// poll), and requests from dead clients still waiting for a slot take a
+// moment to flush. A verifier is a well-behaved client: it honors
 // RETRY_AFTER (and transient transport losses) with bounded patience.
 Result<Response> CallWithRetry(std::optional<Client>& client, uint16_t port,
                                const std::string& command,

@@ -110,13 +110,14 @@ TEST_F(ChaosTest, DurabilityFaultCampaignDegradesHealsAndStaysExact) {
 
 TEST_F(ChaosTest, OverloadCampaignShedsInsteadOfStalling) {
   Boot("overload");
-  // A deliberately tiny server: one worker, a 2-deep queue, few seats.
+  // A deliberately tiny server: one execution slot, one waiter, few seats,
+  // so both the door and the slot gate shed.
   server_->Stop();
   server_.reset();
   ServerOptions small;
   small.admin = true;
   small.workers = 1;
-  small.queue_capacity = 2;
+  small.queue_capacity = 1;
   small.max_connections = 3;
   auto server = Server::Start(&*db_, small);
   ASSERT_TRUE(server.ok()) << server.status();
@@ -134,7 +135,7 @@ TEST_F(ChaosTest, OverloadCampaignShedsInsteadOfStalling) {
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_GT(report->acked, 0u);
   // Overload surfaced as answers, not hangs: at least some requests were
-  // shed with RETRY_AFTER at the door or the queue.
+  // shed with RETRY_AFTER at the door or the slot gate.
   EXPECT_GT(report->shed, 0u);
   ASSERT_TRUE(VerifyOverWire(server_->port(), *report).ok());
 }

@@ -1,13 +1,15 @@
 // End-to-end contract of the tyderd serving core (net/server.h): command
-// registry, admission control (door shed, queue shed, deadlines, idle
-// reaping), admin gating, and degraded-mode serving — all over real
-// loopback sockets against a real DurableCatalog.
+// registry, admission control (door shed, slot-gate shed, deadlines, idle
+// reaping), shutdown, admin gating, and degraded-mode serving — all over
+// real loopback sockets against a real DurableCatalog.
 
 #include "net/server.h"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <filesystem>
 #include <optional>
 #include <string>
@@ -23,13 +25,8 @@ namespace tyder::net {
 namespace {
 
 namespace fs = std::filesystem;
-
-std::string FreshDir(const std::string& name) {
-  std::string dir =
-      (fs::temp_directory_path() / ("tyder_server_test_" + name)).string();
-  fs::remove_all(dir);
-  return dir;
-}
+using std::chrono::milliseconds;
+using std::chrono::steady_clock;
 
 // One seeded store + one running server per test.
 class ServerTest : public ::testing::Test {
@@ -37,7 +34,9 @@ class ServerTest : public ::testing::Test {
   void StartServer(const std::string& name, ServerOptions options = {}) {
     auto fx = testing::BuildPersonEmployee();
     ASSERT_TRUE(fx.ok()) << fx.status();
-    auto opened = storage::DurableCatalog::Open(FreshDir(name));
+    dir_ = (fs::temp_directory_path() / ("tyder_server_test_" + name)).string();
+    fs::remove_all(dir_);
+    auto opened = storage::DurableCatalog::Open(dir_);
     ASSERT_TRUE(opened.ok()) << opened.status();
     db_.emplace(std::move(*opened));
     ASSERT_TRUE(db_->Seed(Catalog(std::move(fx->schema))).ok());
@@ -59,6 +58,7 @@ class ServerTest : public ::testing::Test {
   }
 
   bool admin_ = true;
+  std::string dir_;
   std::optional<storage::DurableCatalog> db_;
   std::unique_ptr<Server> server_;
 };
@@ -175,19 +175,27 @@ TEST_F(ServerTest, ExpiredDeadlineIsRefusedBeforeTouchingTheCatalog) {
   options.workers = 1;
   StartServer("deadline", options);
 
-  // Occupy the only worker, then race a tightly-budgeted mutation into the
-  // queue: by the time the worker frees up, the budget is gone and the
-  // catalog must not have been touched.
-  std::thread blocker([this] {
+  // Occupy the only execution slot, then send a tightly-budgeted mutation:
+  // it waits for the slot, its budget runs out first, and the catalog must
+  // not have been touched.
+  std::atomic<bool> blocker_done{false};
+  std::thread blocker([this, &blocker_done] {
     Client client = MustConnect();
     auto slept = client.Call("sleep", {"400"});
     EXPECT_TRUE(slept.ok() && slept->ok());
+    blocker_done.store(true);
   });
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  std::this_thread::sleep_for(milliseconds(100));
 
   Client client = MustConnect();
+  auto sent = steady_clock::now();
   auto late = client.Call("project", {"LateView", "Person", "SSN"},
                           /*deadline_ms=*/50);
+  auto waited = steady_clock::now() - sent;
+  // The waiter gives up at its own deadline, not when the slot frees up.
+  EXPECT_FALSE(blocker_done.load());
+  EXPECT_GE(waited, milliseconds(50));
+  EXPECT_LT(waited, milliseconds(250));
   blocker.join();
   ASSERT_TRUE(late.ok()) << late.status();
   EXPECT_EQ(late->kind, ResponseKind::kDeadlineExceeded);
@@ -218,8 +226,8 @@ TEST_F(ServerTest, FullQueueShedsWithRetryAfter) {
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(150));
 
-  // Worker busy, queue full: the third request must be shed, immediately
-  // and with the configured hint.
+  // Slot busy, one request already waiting: the third request must be
+  // shed, immediately and with the configured hint.
   Client client = MustConnect();
   auto shed = client.Call("ping");
   ASSERT_TRUE(shed.ok()) << shed.status();
@@ -268,6 +276,88 @@ TEST_F(ServerTest, IdleConnectionsAreReaped) {
   }
   EXPECT_EQ(server_->active_connections(), 0);
   EXPECT_GE(server_->stats().disconnects, 1u);
+}
+
+TEST_F(ServerTest, SlowRequestOutlivesIdleTimeout) {
+  ServerOptions options;
+  options.idle_timeout_ms = 100;
+  StartServer("slow", options);
+
+  // The idle timeout bounds the wait for a request frame, not the time a
+  // request spends executing.
+  Client client = MustConnect();
+  auto slept = client.Call("sleep", {"400"});
+  ASSERT_TRUE(slept.ok()) << slept.status();
+  EXPECT_TRUE(slept->ok()) << slept->message();
+  EXPECT_EQ(slept->message(), "slept 400");
+}
+
+TEST_F(ServerTest, StopWhileARequestWaitsForASlotNeverExecutesIt) {
+  ServerOptions options;
+  options.workers = 1;
+  StartServer("stopwait", options);
+
+  auto holder_started = steady_clock::now();
+  std::optional<Result<Response>> slept;
+  std::thread holder([this, &slept] {
+    Client client = MustConnect();
+    slept = client.Call("sleep", {"300"});
+  });
+  std::this_thread::sleep_for(milliseconds(100));
+  std::optional<Result<Response>> waited;
+  std::thread waiter([this, &waited] {
+    Client client = MustConnect();
+    waited = client.Call("project", {"Waiter", "Person", "SSN"});
+  });
+  std::this_thread::sleep_for(milliseconds(100));
+
+  // Stop lets the running request finish and answer, and wakes the waiter
+  // without executing it.
+  server_->Stop();
+  EXPECT_GE(steady_clock::now() - holder_started, milliseconds(300));
+  holder.join();
+  waiter.join();
+  ASSERT_TRUE(slept.has_value());
+  ASSERT_TRUE(slept->ok()) << slept->status();
+  EXPECT_TRUE((*slept)->ok()) << (*slept)->message();
+  ASSERT_TRUE(waited.has_value());
+  EXPECT_FALSE(waited->ok());  // closed unanswered: never executed
+
+  server_.reset();
+  db_.reset();
+  auto reopened = storage::DurableCatalog::Open(dir_);
+  ASSERT_TRUE(reopened.ok()) << reopened.status();
+  EXPECT_FALSE(reopened->catalog().FindView("Waiter").ok());
+}
+
+TEST_F(ServerTest, HugeWireDeadlineNeverExpires) {
+  StartServer("hugewire");
+  auto fd = ConnectLoopback(server_->port(), Deadline::AfterMs(2000));
+  ASSERT_TRUE(fd.ok()) << fd.status();
+
+  // ~317 years: past steady_clock's nanosecond range from now.
+  ASSERT_TRUE(WriteFrame(fd->get(), "tyder1 ping 10000000000000",
+                         Deadline::AfterMs(2000))
+                  .ok());
+  auto answer = ReadFrame(fd->get(), Deadline::AfterMs(2000));
+  ASSERT_TRUE(answer.ok()) << answer.status();
+  auto parsed = ParseResponse(*answer);
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  EXPECT_EQ(parsed->kind, ResponseKind::kOk);
+  EXPECT_EQ(parsed->message(), "pong");
+}
+
+TEST_F(ServerTest, HugeClientDeadlineDoesNotTimeOut) {
+  StartServer("hugeclient");
+  Client client = MustConnect();
+  // The second budget is the largest the wire accepts (19 digits).
+  for (uint64_t deadline_ms :
+       {10'000'000'000'000ULL, 9'999'999'999'999'999'999ULL}) {
+    auto pong = client.Call("ping", {}, deadline_ms);
+    ASSERT_TRUE(pong.ok()) << deadline_ms << ": " << pong.status();
+    EXPECT_TRUE(pong->ok()) << deadline_ms;
+    EXPECT_EQ(pong->message(), "pong");
+  }
 }
 
 TEST_F(ServerTest, ServesReadsWhileDegradedAndRecoversOnReopen) {

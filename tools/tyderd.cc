@@ -19,6 +19,10 @@
 // directory recovers instead (passing the TDL again is then an error, by
 // DurableCatalog::Seed's no-durable-state rule).
 //
+// --workers bounds the requests executing at once and --queue the requests
+// waiting for an execution slot; each connection's reader thread executes
+// its own requests (src/net/server.h).
+//
 // --admin enables reopen/fault/sleep/shutdown (see docs/ROBUSTNESS.md,
 // "Serving and overload"). Without it those commands answer
 // ERR FailedPrecondition, so a production-ish tyderd cannot be fault-armed
@@ -60,7 +64,9 @@ int Usage() {
          "              [--max-connections <n>] [--workers <n>] "
          "[--queue <n>]\n"
          "              [--idle-timeout-ms <n>] [--stats-jsonl=<file>] "
-         "[--stats-period-ms=<n>]\n";
+         "[--stats-period-ms=<n>]\n"
+         "  --workers <n>  requests executing at once\n"
+         "  --queue <n>    requests waiting for an execution slot\n";
   return 2;
 }
 
