@@ -1,6 +1,7 @@
 // Shared main for the google-benchmark binaries: runs the normal console
-// reporter and additionally emits the one-line JSON report consumed by
-// `scripts/run_all.sh bench` (same BENCHJSON channel as ReproCheck).
+// reporter and additionally emits the one-line JSON report on the BENCHJSON
+// channel (as ReproCheck does), which the `obs` mode of scripts/run_all.sh
+// feeds to bench_compare.py.
 
 #include <benchmark/benchmark.h>
 

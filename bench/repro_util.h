@@ -1,8 +1,8 @@
 // Helpers shared by the figure-reproduction binaries: print a labeled block,
 // compare expected vs measured, keep a process-wide pass/fail verdict, and
-// emit the machine-readable one-line JSON report that `scripts/run_all.sh
-// bench` assembles into BENCH_baseline.json. The google-benchmark binaries
-// get the same JSON line from bench_main.cc.
+// emit the machine-readable one-line JSON report on the BENCHJSON channel
+// (the tyder-bench-v1 format scripts/bench_compare.py reads). The
+// google-benchmark binaries get the same JSON line from bench_main.cc.
 
 #ifndef TYDER_BENCH_REPRO_UTIL_H_
 #define TYDER_BENCH_REPRO_UTIL_H_

@@ -4,8 +4,9 @@
 Usage:
     scripts/bench_compare.py BASELINE.json CURRENT.json [--threshold PCT]
 
-Both inputs are the tyder-bench-v1 JSON files written by
-`scripts/run_all.sh bench [build-dir] [out-file]`. The tool pairs results by
+Both inputs are tyder-bench-v1 JSON files assembled from BENCHJSON lines:
+the `obs` mode of scripts/run_all.sh writes them from bench_obs, the
+`scenarios` mode from tyder_workload's pack replays. The tool pairs results by
 (bench binary, benchmark name), prints a per-benchmark delta table, and exits
 non-zero if any paired benchmark's cpu_time_ns regressed by more than the
 threshold (default 25%).

@@ -3,11 +3,14 @@
 #   1. the test suite (unit + integration + property),
 #   2. every paper figure/example reproduction binary (exit non-zero on any
 #      deviation from the paper),
-#   3. the scalability/ablation benchmarks,
+#   3. the scalability/ablation benchmarks (a quick look; no figures are
+#      recorded),
 #   4. the runnable examples.
 #
+# Performance is recorded by the repository benchmark alone:
+# `python3 repobench/run.py` (workloads and metrics in BENCHMARK.json).
+#
 # Usage: scripts/run_all.sh [build-dir]
-#        scripts/run_all.sh bench [build-dir] [out-file]
 #        scripts/run_all.sh asan [build-dir]
 #        scripts/run_all.sh tsan [build-dir]
 #        scripts/run_all.sh ubsan [build-dir]
@@ -20,20 +23,15 @@
 #        scripts/run_all.sh scenarios [build-dir] [out-dir]
 #        scripts/run_all.sh scenarios long [seconds] [build-dir]
 #
-# The `bench` mode runs every bench binary, collects the one-line JSON each
-# emits on its BENCHJSON channel (see bench/repro_util.h), validates it, and
-# assembles <out-file> (default: BENCH_baseline.json) at the repo root. The
-# step fails if any bench crashes or emits unparseable JSON. Compare two
-# bench reports with scripts/bench_compare.py.
-#
 # The `asan` mode builds with -DTYDER_SANITIZE=address,undefined (default
 # build dir: build-asan) and runs the tier-1 test suite — including the
 # fault-injection/rollback tests — under ASan+UBSan.
 #
 # The `tsan` mode builds with -DTYDER_SANITIZE=thread (default build dir:
-# build-tsan) and runs the concurrency-sensitive suites — the parallel
-# batch-derivation driver, the dispatch-table/call-site-cache tests, and the
-# subtype-closure cache tests — under ThreadSanitizer.
+# build-tsan) and runs the concurrency-sensitive suites — the dispatch-table/
+# call-site-cache tests, the subtype-closure cache tests, the oracle and obs
+# stress tests, the epoch catalog, and the server, net fault-matrix and chaos
+# suites — under ThreadSanitizer.
 #
 # The `ubsan` mode builds with -DTYDER_SANITIZE=undefined alone (default
 # build dir: build-ubsan) and runs the full tier-1 suite — catches UB that
@@ -101,8 +99,11 @@ cd "$(dirname "$0")/.."
 
 MODE=all
 if [ "${1:-}" = "bench" ]; then
-  MODE=bench
-  shift
+  # No bench mode: repobench is the perf record. Refuse rather than fall
+  # through and configure a build in the bench/ source directory.
+  echo "run_all.sh: the bench mode is retired; measure with" \
+    "'python3 repobench/run.py' (see BENCHMARK.json)" >&2
+  exit 2
 elif [ "${1:-}" = "asan" ]; then
   MODE=asan
   shift
@@ -151,7 +152,7 @@ if [ "$MODE" = "tsan" ]; then
   cmake --build "$BUILD"
   echo "=== tests (TSan) ==="
   ctest --test-dir "$BUILD" --output-on-failure \
-    -R 'DeriveBatch|DispatchTable|DispatchCache|SubtypeCache|OracleStress|ObsStress|EpochCatalog|ServerTest|NetFaultMatrix|ChaosTest'
+    -R 'DispatchTable|DispatchCache|SubtypeCache|OracleStress|ObsStress|EpochCatalog|ServerTest|NetFaultMatrix|ChaosTest'
   echo "TSAN GREEN"
   exit 0
 fi
@@ -577,59 +578,9 @@ print()' "$1" "$2" > "$3"
 fi
 
 BUILD="${1:-build}"
-BENCH_OUT="${2:-BENCH_baseline.json}"
 
 cmake -B "$BUILD" -G Ninja
 cmake --build "$BUILD"
-
-run_bench_mode() {
-  echo "=== bench (JSON) ==="
-  local lines_file
-  lines_file="$(mktemp)"
-  trap 'rm -f "$lines_file"' RETURN
-  local b out
-  for b in "$BUILD"/bench/bench_*; do
-    [ -f "$b" ] && [ -x "$b" ] || continue
-    echo "--- $b"
-    case "$b" in
-      # Figure/example reproductions take no google-benchmark flags.
-      *bench_fig*|*bench_example*)
-        out="$("$b")" ;;
-      *)
-        # Longer sampling than the quick-look runs below: recorded numbers
-        # feed bench_compare.py, where sub-10µs benches need the extra
-        # iterations to stay inside the regression threshold's noise floor.
-        out="$("$b" --benchmark_min_time=0.1)" ;;
-    esac
-    # The console reporter may leave ANSI escapes before the marker, so
-    # match anywhere in the line and strip through the marker.
-    if ! printf '%s\n' "$out" | grep -a 'BENCHJSON: ' >> "$lines_file"; then
-      echo "ERROR: $b emitted no BENCHJSON line" >&2
-      return 1
-    fi
-  done
-  sed -i 's/^.*BENCHJSON: //' "$lines_file"
-  python3 - "$lines_file" > "$BENCH_OUT" <<'PY'
-import json, sys
-benches = []
-with open(sys.argv[1]) as f:
-    for line in f:
-        line = line.strip()
-        if not line:
-            continue
-        benches.append(json.loads(line))  # raises on unparseable JSON
-json.dump({"schema": "tyder-bench-v1", "benches": benches},
-          sys.stdout, indent=2)
-print()
-PY
-  echo "wrote $BENCH_OUT ($(wc -c < "$BENCH_OUT") bytes)"
-}
-
-if [ "$MODE" = "bench" ]; then
-  run_bench_mode
-  echo "BENCH GREEN"
-  exit 0
-fi
 
 echo "=== tests ==="
 ctest --test-dir "$BUILD" --output-on-failure
@@ -643,7 +594,7 @@ done
 echo "=== benchmarks ==="
 for b in "$BUILD"/bench/bench_*_scale "$BUILD"/bench/bench_dispatch \
          "$BUILD"/bench/bench_views_over_views "$BUILD"/bench/bench_subtype_cache \
-         "$BUILD"/bench/bench_query "$BUILD"/bench/bench_parallel_derive; do
+         "$BUILD"/bench/bench_query; do
   echo "--- $b"
   "$b" --benchmark_min_time=0.02
 done

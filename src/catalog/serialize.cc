@@ -214,8 +214,9 @@ class BodyReader {
     const std::string& tag = head.text;
     if (tag == "param") {
       TYDER_ASSIGN_OR_RETURN(std::string idx, Atom());
+      TYDER_ASSIGN_OR_RETURN(int index, ParseNumber<int>(idx));
       TYDER_RETURN_IF_ERROR(Close());
-      return mir::Param(std::stoi(idx));
+      return mir::Param(index);
     }
     if (tag == "var") {
       TYDER_ASSIGN_OR_RETURN(std::string name, Atom());
@@ -224,13 +225,15 @@ class BodyReader {
     }
     if (tag == "int") {
       TYDER_ASSIGN_OR_RETURN(std::string v, Atom());
+      TYDER_ASSIGN_OR_RETURN(int64_t value, ParseNumber<int64_t>(v));
       TYDER_RETURN_IF_ERROR(Close());
-      return mir::IntLit(std::stoll(v));
+      return mir::IntLit(value);
     }
     if (tag == "float") {
       TYDER_ASSIGN_OR_RETURN(std::string v, Atom());
+      TYDER_ASSIGN_OR_RETURN(double value, ParseNumber<double>(v));
       TYDER_RETURN_IF_ERROR(Close());
-      return mir::FloatLit(std::stod(v));
+      return mir::FloatLit(value);
     }
     if (tag == "bool") {
       TYDER_ASSIGN_OR_RETURN(std::string v, Atom());

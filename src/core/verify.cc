@@ -102,7 +102,8 @@ void CheckDispatchPreserved(const Schema& before, const Schema& after,
         for (TypeId t2 = 0; t2 < n; ++t2) compare({t1, t2});
       }
     } else {
-      // Higher arities: diagonal plus pairwise-with-first-type sample.
+      // Higher arities: the diagonal only, (t, t, ..., t) for every type,
+      // so arities above 2 are sampled, not swept.
       for (TypeId t = 0; t < n; ++t) {
         compare(std::vector<TypeId>(static_cast<size_t>(gf.arity), t));
       }

@@ -40,14 +40,18 @@ Result<Value> DecodeValue(std::string_view text) {
   }
   std::string payload(text.substr(2));
   switch (text[0]) {
-    case 'i':
-      return Value::Int(std::stoll(payload));
+    case 'i': {
+      TYDER_ASSIGN_OR_RETURN(int64_t value, ParseNumber<int64_t>(payload));
+      return Value::Int(value);
+    }
     case 'f':
       return Value::Float(std::strtod(payload.c_str(), nullptr));
     case 'b':
       return Value::Bool(payload == "1");
-    case 'o':
-      return Value::Object(static_cast<ObjectId>(std::stoul(payload)));
+    case 'o': {
+      TYDER_ASSIGN_OR_RETURN(ObjectId id, ParseNumber<ObjectId>(payload));
+      return Value::Object(id);
+    }
     case 's': {
       if (payload.size() < 2 || payload.front() != '"' ||
           payload.back() != '"') {
@@ -115,7 +119,8 @@ Result<ObjectStore> DeserializeStore(const Schema& schema,
       obj.type = type;
       std::string extra;
       if (ls >> extra && extra.rfind("base=", 0) == 0) {
-        obj.base = static_cast<ObjectId>(std::stoul(extra.substr(5)));
+        TYDER_ASSIGN_OR_RETURN(
+            obj.base, ParseNumber<ObjectId>(std::string_view(extra).substr(5)));
       }
       store.RestoreObject(std::move(obj));
     } else if (cmd == "slot") {

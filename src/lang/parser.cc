@@ -1,5 +1,6 @@
 #include "lang/parser.h"
 
+#include "common/string_util.h"
 #include "lang/lexer.h"
 
 namespace tyder {
@@ -56,6 +57,15 @@ class Parser {
                  "expected " + std::string(TokenKindName(kind)) + ", found " +
                      std::string(TokenKindName(Cur().kind)));
     return Cur();
+  }
+  // The value of a literal token; a literal that does not fit in T is
+  // reported at the token and yields 0.
+  template <typename T>
+  T Literal(const Token& token) {
+    Result<T> value = ParseNumber<T>(token.text);
+    if (value.ok()) return *value;
+    diags_.Error(token.line, token.col, value.status().message());
+    return T{};
   }
   // Skips to just past the next token of `kind` (error recovery).
   void SyncPast(TokenKind kind) {
@@ -148,7 +158,7 @@ class Parser {
     gen.name = Expect(TokenKind::kIdent).text;
     Expect(TokenKind::kSlash);
     if (At(TokenKind::kIntLit)) {
-      gen.arity = std::stoi(Advance().text);
+      gen.arity = Literal<int>(Advance());
     } else {
       Expect(TokenKind::kIntLit);  // report the error
     }
@@ -381,11 +391,11 @@ class Parser {
     switch (Cur().kind) {
       case TokenKind::kIntLit:
         e->kind = AstExprKind::kInt;
-        e->int_val = std::stoll(Advance().text);
+        e->int_val = Literal<int64_t>(Advance());
         return e;
       case TokenKind::kFloatLit:
         e->kind = AstExprKind::kFloat;
-        e->float_val = std::stod(Advance().text);
+        e->float_val = Literal<double>(Advance());
         return e;
       case TokenKind::kStringLit:
         e->kind = AstExprKind::kString;

@@ -8,39 +8,15 @@
 
 namespace tyder {
 
-namespace {
-
-// Rank of `formal` in the CPL of `actual`; CPL size if absent (least
-// specific). `actual ≼ formal` guarantees presence for applicable methods.
-size_t CplRank(const TypeGraph& graph, TypeId actual, TypeId formal) {
-  std::vector<TypeId> cpl = ClassPrecedenceList(graph, actual);
-  auto it = std::find(cpl.begin(), cpl.end(), formal);
-  return static_cast<size_t>(it - cpl.begin());
-}
-
-}  // namespace
-
-bool MoreSpecific(const Schema& schema, MethodId a, MethodId b,
-                  const std::vector<TypeId>& arg_types) {
-  const Signature& sa = schema.method(a).sig;
-  const Signature& sb = schema.method(b).sig;
-  for (size_t i = 0; i < arg_types.size(); ++i) {
-    if (sa.params[i] == sb.params[i]) continue;
-    return CplRank(schema.types(), arg_types[i], sa.params[i]) <
-           CplRank(schema.types(), arg_types[i], sb.params[i]);
-  }
-  return false;
-}
-
 std::vector<MethodId> SortBySpecificity(const Schema& schema, GfId gf,
                                         const std::vector<TypeId>& arg_types) {
   std::vector<MethodId> methods = ApplicableMethods(schema, gf, arg_types);
   if (methods.size() <= 1) return methods;
-  // Computing each actual's CPL once and comparing formals through dense
-  // rank tables makes the comparator O(arity) instead of re-running the
-  // linearization per comparison. Identical verdicts to MoreSpecific():
-  // every formal of an applicable method appears in the actual's CPL, and
-  // absent types keep the "least specific" sentinel rank.
+  // Each actual's CPL is computed once into a dense rank table, so the
+  // comparator is O(arity): at the first position where two methods' formals
+  // differ, the formal ranked earlier in the actual's CPL is more specific.
+  // Every formal of an applicable method appears in the actual's CPL; absent
+  // types keep the "least specific" sentinel rank.
   const TypeGraph& graph = schema.types();
   size_t num_types = graph.NumTypes();
   std::vector<std::vector<uint32_t>> rank(arg_types.size());

@@ -24,13 +24,8 @@
 
 namespace tyder {
 
-// True iff method `a` is more specific than `b` for a call with the given
-// actual argument types. Both must be applicable to the call. Ties (identical
-// formals) return false both ways.
-bool MoreSpecific(const Schema& schema, MethodId a, MethodId b,
-                  const std::vector<TypeId>& arg_types);
-
-// Applicable methods of `gf` for the call, most specific first.
+// Applicable methods of `gf` for the call, most specific first. Methods with
+// identical formals tie and keep their registration order.
 std::vector<MethodId> SortBySpecificity(const Schema& schema, GfId gf,
                                         const std::vector<TypeId>& arg_types);
 

@@ -291,56 +291,6 @@ void TypeGraph::BuildRow(const Closure* c, TypeId root) const {
   c->row_built[root].store(1, std::memory_order_release);
 }
 
-void TypeGraph::BuildAllRows(const Closure* c) const {
-  std::lock_guard<std::mutex> lock(closure_mu_);
-  // Bulk path: fill every missing row supertypes-first, row(t) = bit(t) |
-  // OR row(s) over direct supertypes s — O(types × edges / 64) words total,
-  // cheaper than per-row walks when warming the whole graph. Iterative
-  // post-order DFS over the super edges, descending only into rows not yet
-  // built (already-published rows are reused as-is, never rewritten — a
-  // concurrent reader may be scanning them). The graph is acyclic by
-  // construction (AddSupertype refuses cycles), but a cycle snuck in
-  // through mutable_type() must not hang the build — Validate() detects it
-  // with an exact walk — so in-progress nodes are skipped rather than
-  // revisited.
-  enum : uint8_t { kUnvisited = 0, kInProgress = 1, kDone = 2 };
-  std::vector<uint8_t> mark(c->num_types, kUnvisited);
-  std::vector<std::pair<TypeId, size_t>> stack;  // (type, next super index)
-  for (TypeId seed = 0; seed < c->num_types; ++seed) {
-    if (mark[seed] != kUnvisited || c->RowReady(seed)) continue;
-    stack.emplace_back(seed, 0);
-    mark[seed] = kInProgress;
-    while (!stack.empty()) {
-      auto& [t, next] = stack.back();
-      const std::vector<TypeId>& supers = types_[t].supertypes();
-      if (next < supers.size()) {
-        TypeId s = supers[next++];
-        if (mark[s] == kUnvisited && !c->RowReady(s)) {
-          stack.emplace_back(s, 0);
-          mark[s] = kInProgress;
-        }
-        continue;
-      }
-      uint64_t* row = c->bits.get() + t * c->words;
-      std::fill_n(row, c->words, uint64_t{0});
-      row[t >> 6] |= uint64_t{1} << (t & 63);
-      for (TypeId s : supers) {
-        if (!c->RowReady(s)) continue;  // in-progress: a mutable_type() cycle
-        const uint64_t* srow = c->bits.get() + s * c->words;
-        for (size_t w = 0; w < c->words; ++w) row[w] |= srow[w];
-      }
-      c->row_built[t].store(1, std::memory_order_release);
-      mark[t] = kDone;
-      stack.pop_back();
-    }
-  }
-}
-
-void TypeGraph::PrewarmClosure() const {
-  if (!cache_enabled_) return;
-  BuildAllRows(closure());
-}
-
 bool TypeGraph::UncachedWalk(TypeId a, TypeId b) const {
   std::vector<bool> seen(types_.size(), false);
   std::deque<TypeId> queue{a};

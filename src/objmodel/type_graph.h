@@ -103,11 +103,6 @@ class TypeGraph {
     return a != b && IsSubtype(a, b);
   }
 
-  // Forces the closure build now (e.g. once, before fanning read-only
-  // queries out to a worker pool). No-op when already valid or when the
-  // cache is disabled.
-  void PrewarmClosure() const;
-
   // All supertypes of `t` including `t` itself, in precedence-respecting BFS
   // order from `t` (deterministic; t first).
   std::vector<TypeId> SupertypeClosure(TypeId t) const;
@@ -164,8 +159,6 @@ class TypeGraph {
   const Closure* BuildClosure() const;
   // Fills one row with a single ancestor walk (cold-query path).
   void BuildRow(const Closure* c, TypeId root) const;
-  // Fills every missing row supertypes-first (PrewarmClosure bulk path).
-  void BuildAllRows(const Closure* c) const;
   bool UncachedWalk(TypeId a, TypeId b) const;
 
   // Marks every derived structure stale. Called from every mutator; mutation

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "core/projection.h"
 #include "instances/interp.h"
 #include "mir/builder.h"
@@ -103,6 +106,35 @@ TEST(SerializeTest, MalformedBodyRejected) {
   EXPECT_FALSE(DeserializeBody(fx->schema, "(unknown_tag)").ok());
   EXPECT_FALSE(DeserializeBody(fx->schema, "(seq").ok());
   EXPECT_FALSE(DeserializeBody(fx->schema, "(call no_such_gf)").ok());
+}
+
+// Numbers in a body are parsed whole with std::from_chars: text that is not a
+// number, or a number that does not fit, is a ParseError naming it — never
+// an uncaught exception that aborts the process.
+TEST(SerializeTest, MalformedBodyNumbersRejected) {
+  auto fx = testing::BuildPersonEmployee();
+  ASSERT_TRUE(fx.ok());
+  const std::pair<const char*, const char*> kBodies[] = {
+      {"(param x)", "x"},
+      {"(param 99999999999)", "99999999999"},
+      {"(int 99999999999999999999)", "99999999999999999999"},
+      {"(int 12abc)", "12abc"},
+      {"(float 1e999)", "1e999"},
+      {"(float fast)", "fast"},
+  };
+  for (const auto& [body, number] : kBodies) {
+    auto parsed = DeserializeBody(fx->schema, body);
+    ASSERT_FALSE(parsed.ok()) << body;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kParseError) << body;
+    EXPECT_NE(parsed.status().message().find(std::string("'") + number + "'"),
+              std::string::npos)
+        << parsed.status();
+  }
+  // The printed forms WriteBody emits for extreme values still parse.
+  for (const char* body : {"(int -9223372036854775808)", "(float -inf)",
+                           "(float nan)", "(float 1e+300)"}) {
+    EXPECT_TRUE(DeserializeBody(fx->schema, body).ok()) << body;
+  }
 }
 
 // ---------------------------------------------------------------------------

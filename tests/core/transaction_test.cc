@@ -3,8 +3,9 @@
 // schema serializing byte-identically to its pre-call snapshot (checked with
 // catalog/serialize and catalog/diff), and a subsequent un-faulted run of the
 // same operation must succeed — a failed derivation may not poison the
-// schema. Also covers the SchemaTransaction primitive itself, the fail-point
-// registry semantics, and the rollback metrics.
+// schema, nor any cache derived from it. Also covers the SchemaTransaction
+// primitive itself, the fail-point registry semantics, and the rollback
+// metrics.
 
 #include "core/transaction.h"
 
@@ -21,6 +22,7 @@
 #include "core/collapse.h"
 #include "core/projection.h"
 #include "core/revert.h"
+#include "methods/dispatch.h"
 #include "obs/metrics.h"
 #include "testing/fixtures.h"
 
@@ -326,6 +328,51 @@ TEST(AllOrNothingTest, RollbackDoesNotDependOnVerifier) {
       fx->schema, "Employee", {"SSN", "date_of_birth", "pay_rate"}, "V",
       options);
   EXPECT_TRUE(again.ok()) << again.status();
+}
+
+// Rollback and the derived caches: warm every one (subtype closure, dispatch
+// tables, call-site cache), force a mid-derivation fault so the transaction
+// rolls the schema back, and check the caches answer for the *restored*
+// schema — the derived type's ids must not leak out of any of them.
+TEST(AllOrNothingTest, RolledBackDerivationLeavesCachesConsistent) {
+  for (const char* point : {"is_applicable.before", "is_applicable.mid",
+                            "factor_state.mid", "factor_methods.mid"}) {
+    auto fx = testing::BuildExample1();
+    ASSERT_TRUE(fx.ok()) << fx.status();
+    Schema& schema = fx->schema;
+    auto u = schema.FindGenericFunction("u");
+    ASSERT_TRUE(u.ok());
+
+    // Warm the closure, the dispatch tables, and a call site.
+    EXPECT_TRUE(schema.types().IsSubtype(fx->a, fx->c));
+    auto before = Dispatch(schema, *u, {fx->a});
+    ASSERT_TRUE(before.ok());
+    size_t types_before = schema.types().NumTypes();
+
+    ProjectionSpec spec;
+    spec.source = fx->a;
+    spec.attributes = {fx->a2, fx->e2, fx->h2};
+    spec.view_name = "DoomedView";
+    failpoint::Activate(point, 1);
+    Result<DerivationResult> derived = DeriveProjection(schema, spec);
+    failpoint::DeactivateAll();
+    ASSERT_FALSE(derived.ok()) << "fault point " << point << " did not fire";
+
+    // Rolled back: no surrogate types survive, and every cached structure
+    // answers for the restored hierarchy.
+    EXPECT_EQ(schema.types().NumTypes(), types_before) << point;
+    EXPECT_FALSE(schema.types().FindType("DoomedView").ok()) << point;
+    EXPECT_TRUE(schema.types().IsSubtype(fx->a, fx->c)) << point;
+    EXPECT_FALSE(schema.types().IsSubtype(fx->c, fx->a)) << point;
+    auto after = Dispatch(schema, *u, {fx->a});
+    ASSERT_TRUE(after.ok()) << point;
+    EXPECT_EQ(*after, *before) << point;
+    // And a subsequent, un-faulted derivation succeeds from the restored
+    // state.
+    spec.view_name = "RetryView";
+    auto retry = DeriveProjection(schema, spec);
+    EXPECT_TRUE(retry.ok()) << point << ": " << retry.status();
+  }
 }
 
 }  // namespace

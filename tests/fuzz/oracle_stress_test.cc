@@ -1,8 +1,9 @@
 // Concurrency stressor for the frozen-schema query paths: N threads hammer
-// IsSubtype / DispatchOrder / ApplicableMethodsFromTables while one thread
-// runs PrewarmClosure, interleaved with exclusive mutation + Invalidate
-// cycles. The suite name matches the tsan regex in scripts/run_all.sh, so
-// every cycle runs under ThreadSanitizer in that mode; a single-threaded
+// IsSubtype / DispatchOrder / ApplicableMethodsFromTables on a freshly
+// invalidated graph, so they race to allocate the closure and build its rows
+// (the prewarm), interleaved with exclusive mutation + Invalidate cycles.
+// The suite name matches the tsan regex in scripts/run_all.sh, so every
+// cycle runs under ThreadSanitizer in that mode; a single-threaded
 // oracle sweep at the end of each cycle proves the answers stayed right,
 // not merely race-free.
 
@@ -51,16 +52,12 @@ TEST(OracleStressTest, ConcurrentQueriesDuringPrewarmInvalidateCycles) {
     TypeId base = static_cast<TypeId>(cycle % options.num_types);
     ASSERT_TRUE(graph.AddSupertype(*t, base).ok());
 
-    // Frozen phase: concurrent readers plus one prewarmer.
+    // Frozen phase: concurrent readers warm the cold caches between them.
     const size_t num_types = graph.NumTypes();
     std::atomic<bool> ok{true};
     std::vector<std::thread> threads;
     for (unsigned tid = 0; tid < kThreads; ++tid) {
       threads.emplace_back([&, tid] {
-        if (tid == 0) {
-          schema.types().PrewarmClosure();
-          return;
-        }
         std::mt19937 rng(static_cast<uint32_t>(cycle * 131 + tid));
         std::uniform_int_distribution<size_t> pick_type(0, num_types - 1);
         std::uniform_int_distribution<size_t> pick_gf(

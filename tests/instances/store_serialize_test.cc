@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "catalog/serialize.h"
 #include "core/projection.h"
 #include "instances/interp.h"
@@ -106,6 +109,31 @@ TEST_F(StoreSerializeTest, MalformedInputsRejected) {
           .ok());
   EXPECT_FALSE(
       DeserializeStore(fx_.schema, "tyder-store v1\nbogus\n").ok());
+}
+
+// Numbers in store records are parsed whole with std::from_chars: text that
+// is not a number, or a number that does not fit its field, is a ParseError
+// naming it — never an uncaught exception that aborts the process.
+TEST_F(StoreSerializeTest, MalformedNumbersRejected) {
+  const std::pair<const char*, const char*> kRecords[] = {
+      {"obj Employee\nslot 0 SSN i:99999999999999999999\n",
+       "99999999999999999999"},
+      {"obj Employee\nslot 0 SSN i:twelve\n", "twelve"},
+      {"obj Employee\nslot 0 SSN o:4294967296\n", "4294967296"},
+      {"obj Employee\nslot 0 SSN o:-1\n", "-1"},
+      {"obj Employee base=99999999999999999999\n", "99999999999999999999"},
+      {"obj Employee base=x\n", "x"},
+  };
+  for (const auto& [record, number] : kRecords) {
+    auto restored = DeserializeStore(
+        fx_.schema, std::string("tyder-store v1\n") + record);
+    ASSERT_FALSE(restored.ok()) << record;
+    EXPECT_EQ(restored.status().code(), StatusCode::kParseError) << record;
+    EXPECT_NE(
+        restored.status().message().find(std::string("'") + number + "'"),
+        std::string::npos)
+        << restored.status();
+  }
 }
 
 TEST_F(StoreSerializeTest, EmptyStoreRoundTrips) {

@@ -5,6 +5,7 @@
 
 #include <random>
 #include <string>
+#include <utility>
 
 #include "lang/analyzer.h"
 #include "lang/parser.h"
@@ -46,6 +47,38 @@ TEST(RobustnessTest, RandomTokenSoupNeverCrashes) {
     auto result = LoadTdl(input);
     (void)result;
   }
+}
+
+// Numeric literals are parsed with std::from_chars: one that does not fit its
+// type is a ParseError naming the literal, never an uncaught exception that
+// aborts the process.
+TEST(RobustnessTest, OutOfRangeLiteralsReportParseErrors) {
+  const std::string huge_float = std::string(400, '9') + ".5";
+  const std::string kType = "type T { x: Int; }\n";
+  const std::pair<std::string, std::string> kSources[] = {
+      {kType + "method m (t: T) -> Int { return 99999999999999999999; }",
+       "99999999999999999999"},
+      {kType + "method m (t: T) -> Int { return 9223372036854775808; }",
+       "9223372036854775808"},
+      {"generic g/99999999999;", "99999999999"},
+      {kType + "method m (t: T) -> Float { return " + huge_float + "; }",
+       huge_float},
+  };
+  for (const auto& [source, literal] : kSources) {
+    auto loaded = LoadTdl(source);
+    ASSERT_FALSE(loaded.ok()) << source;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kParseError) << source;
+    EXPECT_NE(loaded.status().message().find("'" + literal + "'"),
+              std::string::npos)
+        << loaded.status();
+  }
+  auto predicate = ParseTdlExpression("x < 99999999999999999999");
+  ASSERT_FALSE(predicate.ok());
+  EXPECT_EQ(predicate.status().code(), StatusCode::kParseError);
+  // The largest literal that fits still parses.
+  EXPECT_TRUE(
+      LoadTdl(kType + "method m (t: T) -> Int { return 9223372036854775807; }")
+          .ok());
 }
 
 TEST(RobustnessTest, PathologicalNesting) {

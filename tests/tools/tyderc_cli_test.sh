@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # End-to-end CLI contract for tyderc: exit statuses, --batch failure
-# diagnostics (the satellite fix: a failing batch item must exit non-zero),
-# and the --db durable lifecycle (seed, mutate, recover, compact).
+# diagnostics (a failing batch item must exit non-zero), file-mode views that
+# later ops can drop, export and project again, and the --db durable
+# lifecycle (seed, mutate, recover, compact).
 #
 # Usage: tyderc_cli_test.sh <path-to-tyderc> <path-to-payroll.tdl>
 set -u
@@ -47,8 +48,8 @@ EOF
 "$TYDERC" "$TDL" --batch "$WORK/good.batch" > "$WORK/good.out" 2> "$WORK/good.err"
 check "all-good batch exits 0" 0 $?
 
-# Person does not have pay_rate, so BadView fails at derivation (not at name
-# resolution, which is fail-fast) and exercises the per-item diagnostics.
+# Person does not have pay_rate, so BadView fails at derivation and
+# exercises the per-item diagnostics.
 cat > "$WORK/bad.batch" <<EOF
 Employee SSN,pay_rate PayView
 Person pay_rate BadView
@@ -60,8 +61,54 @@ grep -q "FAILED BadView" "$WORK/bad.out" \
 grep -q "batch item 'BadView'" "$WORK/bad.err" \
   || { echo "FAIL: per-item diagnostic missing from stderr" >&2; failures=$((failures + 1)); }
 
+# An unknown name is a per-item failure too: the items after it still apply.
+cat > "$WORK/unknown.batch" <<EOF
+Nobody SSN NoView
+Person SSN,name ContactView
+EOF
+"$TYDERC" "$TDL" --batch "$WORK/unknown.batch" > "$WORK/unknown.out" 2> "$WORK/unknown.err"
+check "batch with an unknown source type exits non-zero" 1 $?
+grep -q "batch item 'NoView' failed: NotFound" "$WORK/unknown.err" \
+  || { echo "FAIL: unknown source type was not a per-item failure" >&2; failures=$((failures + 1)); }
+grep -q "1 applied, 1 failed" "$WORK/unknown.out" \
+  || { echo "FAIL: the item after an unknown name did not apply" >&2; failures=$((failures + 1)); }
+
 "$TYDERC" "$TDL" --batch "$WORK/missing.batch" > /dev/null 2>&1
 test $? -ne 0; check "missing batch file exits non-zero" 0 $?
+
+# --jobs only sizes the committer pool of a durable batch; an in-memory
+# catalog has a single writer, so file mode accepts it and ignores it.
+"$TYDERC" "$TDL" --jobs 4 --batch "$WORK/good.batch" > "$WORK/jobs.out" 2>&1
+check "file-mode --jobs 4 --batch exits 0" 0 $?
+grep -q "(1 committer)" "$WORK/jobs.out" \
+  || { echo "FAIL: file-mode batch did not run on its single writer" >&2; failures=$((failures + 1)); }
+
+# --- file mode derives through the catalog, as --db does ------------------
+
+# --project registers its view in the in-memory catalog, so later ops in the
+# same invocation can drop it, export it, or project it again.
+"$TYDERC" "$TDL" --project Employee SSN,name,pay_rate V1 --drop V1 > "$WORK/pd.out" 2> "$WORK/pd.err"
+check "file-mode --project then --drop of that view exits 0" 0 $?
+grep -q "^dropped V1$" "$WORK/pd.out" \
+  || { echo "FAIL: file-mode --drop did not drop the projected view" >&2; failures=$((failures + 1)); }
+
+"$TYDERC" "$TDL" --project Employee SSN,name,pay_rate V1 --export > "$WORK/pe.out" 2> "$WORK/pe.err"
+check "file-mode --project then --export exits 0" 0 $?
+grep -q "^view V1 = project Employee on (SSN, name, pay_rate);$" "$WORK/pe.out" \
+  || { echo "FAIL: file-mode --export lost the projected view" >&2; failures=$((failures + 1)); }
+
+# Each batch line sees the schema the lines before it left: a view over a
+# view (paper Section 7) can be derived in the same batch.
+cat > "$WORK/chain.batch" <<EOF
+Employee SSN,name,pay_rate V1
+V1 SSN,name V2
+EOF
+"$TYDERC" "$TDL" --batch "$WORK/chain.batch" --export > "$WORK/chain.out" 2> "$WORK/chain.err"
+check "file-mode batch projecting an earlier line's view exits 0" 0 $?
+grep -q "2 applied, 0 failed" "$WORK/chain.out" \
+  || { echo "FAIL: file-mode batch did not apply the view over a view" >&2; failures=$((failures + 1)); }
+grep -q "^view V2 = project V1 on (SSN, name);$" "$WORK/chain.out" \
+  || { echo "FAIL: file-mode --export lost the view over a view" >&2; failures=$((failures + 1)); }
 
 # --- durable lifecycle -----------------------------------------------------
 

@@ -15,21 +15,28 @@
 //                                            in <file> (one per line:
 //                                            "<Type> <a,b,c> <ViewName>"; '#'
 //                                            comments and blank lines are
-//                                            skipped); analysis runs on the
-//                                            --jobs worker pool, commits are
-//                                            serial and per-item atomic; any
-//                                            failed item makes the exit
+//                                            skipped); each line runs the
+//                                            same catalog operation as
+//                                            --project, in input order, and
+//                                            commits or rolls back on its
+//                                            own, so a line may project a
+//                                            view an earlier line defined;
+//                                            any failed item makes the exit
 //                                            status non-zero, with one
 //                                            diagnostic per failed item on
-//                                            stderr (later ops still run).
-//                                            With --db, --jobs N instead
+//                                            stderr (later items and ops
+//                                            still run). With --db, --jobs N
 //                                            runs N concurrent committers
 //                                            whose WAL records share
 //                                            group-commit fsync batches
 //                                            (the per-batch fsync count is
 //                                            printed, and lands in
 //                                            --metrics as
-//                                            storage.group_commit.syncs)
+//                                            storage.group_commit.syncs);
+//                                            they take lines in no fixed
+//                                            order, so a line that projects
+//                                            an earlier line's view needs
+//                                            --jobs 1
 //   tyderc <schema.tdl> --drop <View>        drop a view (revert/detach)
 //   tyderc <schema.tdl> --collapse           collapse empty surrogates
 //   tyderc <schema.tdl> --serialize          dump the (post-ops) schema
@@ -59,8 +66,9 @@
 //
 // Execution modifiers:
 //
-//   --jobs <N>           analysis threads for in-memory --batch, concurrent
-//                        committers for durable --batch (default 1)
+//   --jobs <N>           concurrent committers for --db --batch (default 1;
+//                        an in-memory catalog has a single writer, so file
+//                        mode ignores it)
 //   --list-faults        print every registered fault point name and exit
 //                        (the crash-injection harness enumerates these)
 //
@@ -98,7 +106,6 @@
 #include "common/failpoint.h"
 #include "common/string_util.h"
 #include "core/collapse.h"
-#include "core/derive_batch.h"
 #include "core/projection.h"
 #include "lang/analyzer.h"
 #include "methods/consistency.h"
@@ -150,7 +157,6 @@ struct BatchLine {
   std::string source;
   std::vector<std::string> attrs;
   std::string view;
-  int lineno = 0;
 };
 
 // Parses a --batch file: one projection per line, "<Type> <a,b,c> <ViewName>"
@@ -168,7 +174,6 @@ Result<std::vector<BatchLine>> ParseBatchFile(const std::string& path) {
     if (hash != std::string::npos) line.erase(hash);
     std::istringstream fields(line);
     BatchLine item;
-    item.lineno = lineno;
     std::string attrs;
     if (!(fields >> item.source)) continue;  // blank / comment-only line
     std::string garbage;
@@ -191,62 +196,26 @@ void PrintApplicable(const Schema& schema, std::string_view view,
   std::cout << "\n";
 }
 
-// In-memory --batch: parallel analysis + serial atomic apply via DeriveBatch.
-// Returns the number of failed items.
-Result<size_t> RunBatchInMemory(Schema& schema,
-                                const std::vector<BatchLine>& lines,
-                                const std::string& path, int jobs,
-                                const ProjectionOptions& projection_options) {
-  std::vector<ProjectionSpec> specs;
-  for (const BatchLine& item : lines) {
-    Result<ProjectionSpec> spec =
-        ResolveProjectionSpec(schema, item.source, item.attrs, item.view);
-    if (!spec.ok()) {
-      return spec.status().WithContext(path + ":" +
-                                       std::to_string(item.lineno));
-    }
-    specs.push_back(std::move(*spec));
-  }
-  BatchDeriveOptions batch_options;
-  batch_options.jobs = jobs;
-  batch_options.apply = true;
-  batch_options.verify = projection_options.verify;
-  BatchDeriveReport report = DeriveBatch(schema, specs, batch_options);
-  std::cout << "batch: " << report.items.size() << " projections, "
-            << batch_options.jobs << " jobs\n";
-  for (const BatchItemResult& item : report.items) {
-    if (item.applied) {
-      std::cout << "  ";
-      PrintApplicable(schema, item.spec.view_name, item.applicability.applicable);
-    } else {
-      std::cout << "  FAILED " << item.spec.view_name << "\n";
-      std::cerr << "tyderc: batch item '" << item.spec.view_name
-                << "' failed: " << item.status << "\n";
-    }
-  }
-  std::cout << "batch: " << report.applied << " applied, " << report.failed
-            << " failed\n";
-  return static_cast<size_t>(report.failed);
-}
-
-// Durable --batch: every item commits (and is WAL-logged) individually, but
-// with --jobs N > 1 the items are pushed by N concurrent committers whose
-// WAL records ride shared group-commit batches — a handful of fsyncs per
-// batch window instead of one per item (docs/PERFORMANCE.md "Schema epochs
-// and group commit"). Per-item atomicity, ordering of the printed report
-// (input order), and failure diagnostics are identical to the serial path.
-// Returns the number of failed items.
-size_t RunBatchDurable(storage::DurableCatalog& db,
-                       const std::vector<BatchLine>& lines,
-                       const ProjectionOptions& projection_options, int jobs) {
+// --batch: the --project operation once per item; each item commits (and,
+// with --db, is WAL-logged) or rolls back on its own. An in-memory Catalog
+// has a single writer, which applies the items in input order. With --db
+// and --jobs N > 1 the items are pushed by N concurrent committers, in no
+// fixed order, whose WAL records ride shared group-commit batches — a
+// handful of fsyncs per batch window instead of one per item
+// (docs/PERFORMANCE.md "Schema epochs and group commit"). The report is in
+// input order either way. Returns the number of failed items.
+size_t RunBatch(Catalog& catalog, storage::DurableCatalog* db,
+                const std::vector<BatchLine>& lines,
+                const ProjectionOptions& projection_options, int jobs) {
 #if TYDER_OBS_ENABLED
   const obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   uint64_t syncs_before = registry.CounterValue("storage.group_commit.syncs");
 #endif
-  int workers = static_cast<int>(
-      std::min<size_t>(static_cast<size_t>(std::max(jobs, 1)), lines.size()));
-  std::cout << "batch: " << lines.size() << " projections (durable, "
-            << workers
+  int workers = db == nullptr ? 1
+                              : static_cast<int>(std::min<size_t>(
+                                    static_cast<size_t>(jobs), lines.size()));
+  std::cout << "batch: " << lines.size() << " projections ("
+            << (db != nullptr ? "durable, " : "") << workers
             << (workers == 1 ? " committer)\n" : " concurrent committers)\n");
   std::vector<Status> results(lines.size(), Status::OK());
   std::atomic<size_t> cursor{0};
@@ -254,8 +223,13 @@ size_t RunBatchDurable(storage::DurableCatalog& db,
     for (size_t i = cursor.fetch_add(1); i < lines.size();
          i = cursor.fetch_add(1)) {
       const BatchLine& item = lines[i];
-      Result<const ViewDef*> view = db.DefineProjectionView(
-          item.view, item.source, item.attrs, projection_options);
+      Result<const ViewDef*> view =
+          db != nullptr ? db->DefineProjectionView(item.view, item.source,
+                                                   item.attrs,
+                                                   projection_options)
+                        : catalog.DefineProjectionView(item.view, item.source,
+                                                       item.attrs,
+                                                       projection_options);
       if (!view.ok()) results[i] = view.status();
     }
   };
@@ -267,14 +241,14 @@ size_t RunBatchDurable(storage::DurableCatalog& db,
     for (std::thread& t : pool) t.join();
   }
   // Quiesced: report in input order, resolving applied views by name (a
-  // ViewDef pointer taken mid-batch could dangle across concurrent commits).
+  // ViewDef pointer taken mid-batch could dangle across later commits).
   size_t failed = 0;
   for (size_t i = 0; i < lines.size(); ++i) {
     const BatchLine& item = lines[i];
     if (results[i].ok()) {
-      Result<const ViewDef*> view = db.catalog().FindView(item.view);
+      Result<const ViewDef*> view = catalog.FindView(item.view);
       std::cout << "  ";
-      PrintApplicable(db.catalog().schema(), item.view,
+      PrintApplicable(catalog.schema(), item.view,
                       view.ok() ? (*view)->derivation.applicability.applicable
                                 : std::vector<MethodId>{});
     } else {
@@ -287,10 +261,12 @@ size_t RunBatchDurable(storage::DurableCatalog& db,
   std::cout << "batch: " << lines.size() - failed << " applied, " << failed
             << " failed\n";
 #if TYDER_OBS_ENABLED
-  std::cout << "batch: "
-            << registry.CounterValue("storage.group_commit.syncs") -
-                   syncs_before
-            << " wal fsyncs for " << lines.size() - failed << " commits\n";
+  if (db != nullptr) {
+    std::cout << "batch: "
+              << registry.CounterValue("storage.group_commit.syncs") -
+                     syncs_before
+              << " wal fsyncs for " << lines.size() - failed << " commits\n";
+  }
 #endif
   return failed;
 }
@@ -395,32 +371,24 @@ int RunOps(const std::string& schema_path, const std::string& db_dir,
       std::string source = ops[++i];
       std::vector<std::string> attrs = SplitAndTrim(ops[++i], ',');
       std::string view = ops[++i];
-      if (db.has_value()) {
-        Result<const ViewDef*> result =
-            db->DefineProjectionView(view, source, attrs, projection_options);
-        if (!result.ok()) return FailDb(db, result.status());
-        PrintApplicable(schema, view,
-                        (*result)->derivation.applicability.applicable);
-      } else {
-        Result<DerivationResult> result = DeriveProjectionByName(
-            schema, source, attrs, view, projection_options);
-        if (!result.ok()) return Fail(result.status());
-        PrintApplicable(schema, view, result->applicability.applicable);
-      }
+      // Both modes define the view through the catalog (--db logs it to the
+      // WAL first), so later ops can project, drop or export it.
+      Result<const ViewDef*> result =
+          db.has_value()
+              ? db->DefineProjectionView(view, source, attrs,
+                                         projection_options)
+              : catalog->DefineProjectionView(view, source, attrs,
+                                              projection_options);
+      if (!result.ok()) return FailDb(db, result.status());
+      PrintApplicable(schema, view,
+                      (*result)->derivation.applicability.applicable);
     } else if (flag == "--batch") {
       if (i + 1 >= ops.size()) return Usage();
       std::string path = ops[++i];
       Result<std::vector<BatchLine>> lines = ParseBatchFile(path);
       if (!lines.ok()) return Fail(lines.status());
-      size_t failed = 0;
-      if (db.has_value()) {
-        failed = RunBatchDurable(*db, *lines, projection_options, jobs);
-      } else {
-        Result<size_t> in_memory = RunBatchInMemory(schema, *lines, path, jobs,
-                                                    projection_options);
-        if (!in_memory.ok()) return Fail(in_memory.status());
-        failed = *in_memory;
-      }
+      size_t failed = RunBatch(*catalog, db ? &*db : nullptr, *lines,
+                               projection_options, jobs);
       if (failed > 0) {
         exit_code = db.has_value() && db->degraded() ? 3 : 1;
       }
