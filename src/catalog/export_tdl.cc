@@ -1,5 +1,6 @@
 #include "catalog/export_tdl.h"
 
+#include <charconv>
 #include <map>
 #include <sstream>
 
@@ -298,14 +299,15 @@ class TdlEmitter {
         out_ << e.int_val;
         return Status::OK();
       case ExprKind::kFloatLit: {
-        std::ostringstream f;
-        f << e.float_val;
-        std::string text = f.str();
-        // TDL float literals need a decimal point.
-        if (text.find('.') == std::string::npos &&
-            text.find('e') == std::string::npos) {
-          text += ".0";
-        }
+        // Shortest fixed-notation text that reads back as the same double:
+        // the TDL lexer takes no exponent, and a float literal needs a
+        // decimal point.
+        char buf[400];
+        char* end = std::to_chars(buf, buf + sizeof(buf), e.float_val,
+                                  std::chars_format::fixed)
+                        .ptr;
+        std::string text(buf, end);
+        if (text.find('.') == std::string::npos) text += ".0";
         out_ << text;
         return Status::OK();
       }

@@ -1,5 +1,6 @@
 #include "catalog/serialize.h"
 
+#include <charconv>
 #include <cstdint>
 #include <sstream>
 
@@ -56,9 +57,13 @@ void WriteBody(const Schema& schema, const ExprPtr& node,
     case ExprKind::kIntLit:
       out << "(int " << e.int_val << ")";
       return;
-    case ExprKind::kFloatLit:
-      out << "(float " << e.float_val << ")";
+    case ExprKind::kFloatLit: {
+      // Shortest text that reads back as the same double.
+      char buf[64];
+      char* end = std::to_chars(buf, buf + sizeof(buf), e.float_val).ptr;
+      out << "(float " << std::string_view(buf, end - buf) << ")";
       return;
+    }
     case ExprKind::kBoolLit:
       out << "(bool " << (e.bool_val ? "true" : "false") << ")";
       return;

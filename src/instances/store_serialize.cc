@@ -1,6 +1,7 @@
 #include "instances/store_serialize.h"
 
 #include <cstdio>
+#include <cstdlib>
 #include <sstream>
 
 #include "common/string_util.h"
@@ -44,9 +45,20 @@ Result<Value> DecodeValue(std::string_view text) {
       TYDER_ASSIGN_OR_RETURN(int64_t value, ParseNumber<int64_t>(payload));
       return Value::Int(value);
     }
-    case 'f':
-      return Value::Float(std::strtod(payload.c_str(), nullptr));
+    case 'f': {
+      // Hexfloat (%a), which std::from_chars reads only without its 0x
+      // prefix; strtod reads it whole, so check that it read all of it.
+      char* end = nullptr;
+      double value = std::strtod(payload.c_str(), &end);
+      if (payload.empty() || end != payload.c_str() + payload.size()) {
+        return Status::ParseError("malformed float '" + payload + "'");
+      }
+      return Value::Float(value);
+    }
     case 'b':
+      if (payload != "0" && payload != "1") {
+        return Status::ParseError("malformed bool '" + payload + "'");
+      }
       return Value::Bool(payload == "1");
     case 'o': {
       TYDER_ASSIGN_OR_RETURN(ObjectId id, ParseNumber<ObjectId>(payload));

@@ -1,7 +1,6 @@
 #include "methods/precedence.h"
 
 #include <algorithm>
-#include <list>
 
 #include "methods/applicability.h"
 #include "objmodel/linearize.h"
@@ -13,31 +12,45 @@ std::vector<MethodId> SortBySpecificity(const Schema& schema, GfId gf,
   std::vector<MethodId> methods = ApplicableMethods(schema, gf, arg_types);
   if (methods.size() <= 1) return methods;
   // Each actual's CPL is computed once into a dense rank table, so the
-  // comparator is O(arity): at the first position where two methods' formals
-  // differ, the formal ranked earlier in the actual's CPL is more specific.
-  // Every formal of an applicable method appears in the actual's CPL; absent
-  // types keep the "least specific" sentinel rank.
-  const TypeGraph& graph = schema.types();
+  // comparator is O(arity) with no repeated linearization.
+  std::vector<std::vector<uint32_t>> ranks;
+  ranks.reserve(arg_types.size());
+  for (TypeId t : arg_types) ranks.push_back(CplRanks(schema.types(), t));
+  std::vector<const std::vector<uint32_t>*> arg_ranks;
+  for (const std::vector<uint32_t>& r : ranks) arg_ranks.push_back(&r);
+  SortApplicableBySpecificity(schema, arg_ranks, &methods);
+  return methods;
+}
+
+std::vector<uint32_t> CplRanks(const TypeGraph& graph, TypeId t) {
   size_t num_types = graph.NumTypes();
-  std::vector<std::vector<uint32_t>> rank(arg_types.size());
-  for (size_t i = 0; i < arg_types.size(); ++i) {
-    rank[i].assign(num_types, static_cast<uint32_t>(num_types));
-    std::vector<TypeId> cpl = ClassPrecedenceList(graph, arg_types[i]);
-    for (size_t r = 0; r < cpl.size(); ++r) {
-      rank[i][cpl[r]] = static_cast<uint32_t>(r);
-    }
+  std::vector<uint32_t> rank(num_types, static_cast<uint32_t>(num_types));
+  std::vector<TypeId> cpl = ClassPrecedenceList(graph, t);
+  for (size_t r = 0; r < cpl.size(); ++r) {
+    rank[cpl[r]] = static_cast<uint32_t>(r);
   }
-  std::stable_sort(methods.begin(), methods.end(),
+  return rank;
+}
+
+void SortApplicableBySpecificity(
+    const Schema& schema,
+    const std::vector<const std::vector<uint32_t>*>& arg_ranks,
+    std::vector<MethodId>* methods) {
+  // At the first position where two methods' formals differ, the formal
+  // ranked earlier in the actual's CPL is more specific. Every formal of an
+  // applicable method appears in the actual's CPL, so distinct formals never
+  // share a rank.
+  std::stable_sort(methods->begin(), methods->end(),
                    [&](MethodId a, MethodId b) {
                      const Signature& sa = schema.method(a).sig;
                      const Signature& sb = schema.method(b).sig;
-                     for (size_t i = 0; i < arg_types.size(); ++i) {
+                     for (size_t i = 0; i < arg_ranks.size(); ++i) {
                        if (sa.params[i] == sb.params[i]) continue;
-                       return rank[i][sa.params[i]] < rank[i][sb.params[i]];
+                       const std::vector<uint32_t>& rank = *arg_ranks[i];
+                       return rank[sa.params[i]] < rank[sb.params[i]];
                      }
                      return false;
                    });
-  return methods;
 }
 
 Result<MethodId> MostSpecificApplicable(const Schema& schema, GfId gf,

@@ -16,6 +16,7 @@
 #ifndef TYDER_METHODS_PRECEDENCE_H_
 #define TYDER_METHODS_PRECEDENCE_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "common/result.h"
@@ -28,6 +29,19 @@ namespace tyder {
 // identical formals tie and keep their registration order.
 std::vector<MethodId> SortBySpecificity(const Schema& schema, GfId gf,
                                         const std::vector<TypeId>& arg_types);
+
+// The class precedence list of `t` as a dense rank table indexed by TypeId:
+// `t` ranks 0 and each supertype its CPL position. Types outside the CPL
+// rank NumTypes(), after every member.
+std::vector<uint32_t> CplRanks(const TypeGraph& graph, TypeId t);
+
+// The ordering step of SortBySpecificity for callers that keep rank tables
+// across calls: stably sorts `methods`, all applicable to one call, most
+// specific first. `arg_ranks[i]` is the CplRanks of the call's i-th actual.
+void SortApplicableBySpecificity(
+    const Schema& schema,
+    const std::vector<const std::vector<uint32_t>*>& arg_ranks,
+    std::vector<MethodId>* methods);
 
 // The most specific applicable method; NotFound if no method applies.
 Result<MethodId> MostSpecificApplicable(const Schema& schema, GfId gf,

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
+#include "instances/interp.h"
+
 #include "lang/analyzer.h"
 #include "methods/accessor_gen.h"
 #include "mir/printer.h"
@@ -149,6 +154,35 @@ TEST(ExportTdlTest, ControlFlowAndLiteralsSurviveRoundTrip) {
                              << *tdl;
   EXPECT_EQ(PrintAllMethods(reloaded->schema()),
             PrintAllMethods(catalog->schema()));
+}
+
+TEST(ExportTdlTest, FloatLiteralsSurviveRoundTripExactly) {
+  auto catalog = LoadTdl(R"(
+    type T { x: Int; }
+    method pi (t: T) -> Float { return 3.14159265358979; }
+    method tiny (t: T) -> Float { return 0.000000123456789012345; }
+    method huge (t: T) -> Float { return 10000000000000000000000.0; }
+  )");
+  ASSERT_TRUE(catalog.ok()) << catalog.status();
+  auto tdl = ExportTdl(catalog->schema());
+  ASSERT_TRUE(tdl.ok()) << tdl.status();
+  auto reloaded = LoadTdl(*tdl);
+  ASSERT_TRUE(reloaded.ok()) << reloaded.status() << "\n--- exported ---\n"
+                             << *tdl;
+  // Each method's result, as raw bits, on an object of T.
+  auto run = [](const Schema& schema, const char* gf) -> uint64_t {
+    ObjectStore store;
+    auto obj = store.CreateObject(schema, *schema.types().FindType("T"));
+    EXPECT_TRUE(obj.ok()) << obj.status();
+    Interpreter interp(schema, &store);
+    auto value = interp.CallByName(gf, {Value::Object(*obj)});
+    EXPECT_TRUE(value.ok()) << value.status();
+    return value.ok() ? std::bit_cast<uint64_t>(value->AsFloat()) : 0;
+  };
+  for (const char* gf : {"pi", "tiny", "huge"}) {
+    EXPECT_EQ(run(reloaded->schema(), gf), run(catalog->schema(), gf))
+        << gf << "\n--- exported ---\n" << *tdl;
+  }
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <string>
 #include <utility>
 
@@ -90,6 +92,21 @@ TEST(SerializeTest, BodyRoundTripCoversEveryNodeKind) {
   auto restored = DeserializeBody(s, text);
   ASSERT_TRUE(restored.ok()) << restored.status();
   EXPECT_EQ(SerializeBody(s, *restored), text);
+}
+
+TEST(SerializeTest, FloatLiteralsRoundTripExactly) {
+  auto fx = testing::BuildPersonEmployee();
+  ASSERT_TRUE(fx.ok());
+  for (double v : {3.14159265358979, 0.1, 1e-7, 1e22, -2.5,
+                   1.7976931348623157e308, 5e-324}) {
+    std::string text = SerializeBody(fx->schema, mir::FloatLit(v));
+    auto restored = DeserializeBody(fx->schema, text);
+    ASSERT_TRUE(restored.ok()) << text << ": " << restored.status();
+    ASSERT_EQ((*restored)->kind, ExprKind::kFloatLit) << text;
+    EXPECT_EQ(std::bit_cast<uint64_t>((*restored)->float_val),
+              std::bit_cast<uint64_t>(v))
+        << text;
+  }
 }
 
 TEST(SerializeTest, MissingHeaderRejected) {

@@ -15,6 +15,7 @@
 
 #include "catalog/catalog.h"
 #include "common/failpoint.h"
+#include "core/verify.h"
 #include "obs/obs.h"
 #include "oracle/differential.h"
 #include "oracle/reference.h"
@@ -309,12 +310,21 @@ class TraceRunner {
     }
     std::string vname = "FZV" + std::to_string(next_view_++);
     std::string pre = Serialized();
+    Schema pre_schema = catalog_.schema();
     Result<const ViewDef*> r =
         catalog_.DefineProjectionView(vname, src, attrs);
     if (!r.ok()) {
       // A refused derivation is tolerated (the verifier may legitimately
       // reject exotic schemas) but must be invisible.
       return CheckUnchanged(pre, "DefineProjectionView(" + vname + ")");
+    }
+    // The verifier accepted it by its certificate; the exhaustive sweep must
+    // agree that no call over pre-existing types dispatches differently.
+    std::vector<std::string> issues;
+    CheckDispatchPreserved(pre_schema, catalog_.schema(), &issues);
+    if (!issues.empty()) {
+      return Fail("DefineProjectionView(" + vname + ") was accepted but " +
+                  issues.front());
     }
     ApplyDeriveToModel(vname, src, std::move(attr_set));
     // Section 5, from first principles: derived cumulative state == the

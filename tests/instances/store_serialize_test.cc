@@ -123,6 +123,11 @@ TEST_F(StoreSerializeTest, MalformedNumbersRejected) {
       {"obj Employee\nslot 0 SSN o:-1\n", "-1"},
       {"obj Employee base=99999999999999999999\n", "99999999999999999999"},
       {"obj Employee base=x\n", "x"},
+      {"obj Employee\nslot 0 pay_rate f:garbage\n", "garbage"},
+      {"obj Employee\nslot 0 pay_rate f:0x1p+1x\n", "0x1p+1x"},
+      {"obj Employee\nslot 0 pay_rate f:\n", ""},
+      {"obj Employee\nslot 0 SSN b:yes\n", "yes"},
+      {"obj Employee\nslot 0 SSN b:\n", ""},
   };
   for (const auto& [record, number] : kRecords) {
     auto restored = DeserializeStore(

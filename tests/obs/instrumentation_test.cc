@@ -133,9 +133,10 @@ TEST(InstrumentationTest, DerivationBumpsPipelineCounters) {
   EXPECT_GT(m.CounterValue("applicability.method_checks"), 0u);
   EXPECT_GT(m.CounterValue("dataflow.analyses"), 0u);
   EXPECT_GT(m.CounterValue("dataflow.fixpoint_iterations"), 0u);
-  // The behavior-preservation verifier probes the dispatch outcome of every
-  // generic function over both schemas (without going through the call-site
-  // cache — each probe is a distinct call site).
+  // The behavior-preservation verifier's certificate re-dispatches
+  // multi-method generic functions on argument tuples under a touched type
+  // (without going through the call-site cache — each probe is a distinct
+  // call site): Example 1's twins u1/u2 over the re-homed source A.
   EXPECT_GT(m.CounterValue("verify.dispatch_probes"), 0u);
 }
 

@@ -6,12 +6,16 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <string>
 
 #include "catalog/serialize.h"
 #include "common/failpoint.h"
+#include "instances/interp.h"
+#include "lang/analyzer.h"
 #include "storage/catalog_snapshot.h"
 #include "testing/fixtures.h"
 
@@ -113,6 +117,32 @@ TEST(DurableCatalogTest, NoVerifyDerivationsReplayWithVerificationOff) {
   auto reopened = DurableCatalog::Open(dir);
   ASSERT_TRUE(reopened.ok()) << reopened.status();
   EXPECT_EQ(SerializeCatalog(reopened->catalog()), expected);
+}
+
+TEST(DurableCatalogTest, CompactAndReopenKeepFloatLiteralsExact) {
+  std::string dir = FreshDir("float_literal");
+  const double kPi = 3.14159265358979;
+  {
+    auto seed = LoadTdl(
+        "type T { x: Int; }\n"
+        "method pi (t: T) -> Float { return 3.14159265358979; }\n");
+    ASSERT_TRUE(seed.ok()) << seed.status();
+    auto db = DurableCatalog::Open(dir);
+    ASSERT_TRUE(db.ok()) << db.status();
+    ASSERT_TRUE(db->Seed(std::move(seed).value()).ok());
+    ASSERT_TRUE(db->Compact().ok());
+  }
+  auto reopened = DurableCatalog::Open(dir);
+  ASSERT_TRUE(reopened.ok()) << reopened.status();
+  const Schema& schema = reopened->catalog().schema();
+  ObjectStore store;
+  auto obj = store.CreateObject(schema, *schema.types().FindType("T"));
+  ASSERT_TRUE(obj.ok()) << obj.status();
+  Interpreter interp(schema, &store);
+  auto value = interp.CallByName("pi", {Value::Object(*obj)});
+  ASSERT_TRUE(value.ok()) << value.status();
+  EXPECT_EQ(std::bit_cast<uint64_t>(value->AsFloat()),
+            std::bit_cast<uint64_t>(kPi));
 }
 
 TEST(DurableCatalogTest, CompactTruncatesTheLogAndDropsOldSnapshots) {
