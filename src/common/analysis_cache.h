@@ -1,5 +1,5 @@
 // AnalysisCacheSlot: a version-tagged holder for one lazily derived analysis
-// structure (dispatch tables, call-site caches, relevant-call extractions).
+// structure (today the relevant-call extractions of mir/call_graph.cc).
 //
 // A slot stores an opaque shared_ptr plus the schema version it was built
 // for. GetOrBuild() returns the cached structure while the version matches

@@ -109,7 +109,7 @@ class EpochCatalog {
   size_t TryReclaim();
 
   // Wait-free reader guard. The pinned snapshot (and every cache hanging off
-  // its Schema — ancestor bitsets, PIC mask tables) stays valid and
+  // its Schema — ancestor bitsets, the dispatch index) stays valid and
   // internally consistent for the guard's lifetime, no matter how many
   // epochs writers publish and retire meanwhile.
   class Pin {

@@ -129,10 +129,10 @@ void SweepGf(const Schema& before, const Schema& after, GfId g,
   const GenericFunction& gf = before.gf(g);
   ForEachTuple(CandidateArgs(before, after, g),
                [&](const std::vector<TypeId>& args) {
-    // Every probe is a distinct call site, so going through Dispatch() would
-    // pay the call-site cache (lookup + insert) and NotFound-string machinery
-    // for zero reuse. Compare the specificity order directly — the dispatch
-    // outcome is its front (or NotFound if empty).
+    // Both schemas are mid-derivation: going through Dispatch() would build
+    // a dispatch index per schema for these probes alone. Compare the
+    // specificity order directly — the dispatch outcome is its front (or
+    // NotFound if empty).
     TYDER_COUNT("verify.dispatch_probes");
     if (SameOutcome(SortBySpecificity(before, g, args),
                     SortBySpecificity(after, g, args))) {

@@ -1,7 +1,5 @@
 #include "methods/applicability.h"
 
-#include "methods/dispatch_table.h"
-
 namespace tyder {
 
 bool ApplicableToType(const Schema& schema, MethodId m, TypeId t) {
@@ -23,10 +21,11 @@ bool ApplicableToCall(const Schema& schema, MethodId m,
 
 std::vector<MethodId> ApplicableMethods(const Schema& schema, GfId gf,
                                         const std::vector<TypeId>& arg_types) {
-  // One mask-AND over the precomputed per-gf applicability tables; same
-  // result and order as scanning schema.gf(gf).methods with
-  // ApplicableToCall (methods/dispatch_table.h).
-  return ApplicableMethodsFromTables(schema, gf, arg_types);
+  std::vector<MethodId> out;
+  for (MethodId m : schema.gf(gf).methods) {
+    if (ApplicableToCall(schema, m, arg_types)) out.push_back(m);
+  }
+  return out;
 }
 
 std::vector<MethodId> MethodsApplicableToType(const Schema& schema, TypeId t) {

@@ -1,10 +1,8 @@
 #include "methods/dispatch.h"
 
-#include <algorithm>
 #include <string>
 
-#include "methods/dispatch_table.h"
-#include "methods/precedence.h"
+#include "methods/dispatch_index.h"
 #include "obs/obs.h"
 
 namespace tyder {
@@ -22,27 +20,6 @@ Result<MethodId> NoApplicableMethod(const Schema& schema, GfId gf,
                           schema.gf(gf).name.str() + "(" + args + ")");
 }
 
-// The specificity-sorted applicable set for the call, through the call-site
-// cache: a hit skips applicability *and* sorting; a miss computes both and
-// installs the result. `need_complete` demands the untruncated order
-// (DispatchOrder); Dispatch() only needs the front.
-std::vector<MethodId> SortedApplicable(const Schema& schema, GfId gf,
-                                       const std::vector<TypeId>& arg_types,
-                                       bool need_complete) {
-  std::shared_ptr<DispatchCache> cache = DispatchCache::ForSchema(schema);
-  DispatchCache::CachedOrder cached;
-  if (cache->Lookup(gf, arg_types, &cached) &&
-      (!need_complete || cached.Complete())) {
-    return std::vector<MethodId>(
-        cached.order.begin(),
-        cached.order.begin() +
-            std::min<size_t>(cached.full_len, DispatchCache::kMaxOrder));
-  }
-  std::vector<MethodId> sorted = SortBySpecificity(schema, gf, arg_types);
-  cache->Insert(gf, arg_types, sorted);
-  return sorted;
-}
-
 }  // namespace
 
 Result<MethodId> Dispatch(const Schema& schema, GfId gf,
@@ -52,13 +29,12 @@ Result<MethodId> Dispatch(const Schema& schema, GfId gf,
     return Status::InvalidArgument("call to '" + schema.gf(gf).name.str() +
                                    "' with wrong argument count");
   }
-  std::vector<MethodId> sorted =
-      SortedApplicable(schema, gf, arg_types, /*need_complete=*/false);
-  if (sorted.empty()) {
+  MethodId target = DispatchIndex::Of(schema).Select(schema, gf, arg_types);
+  if (target == kInvalidMethod) {
     TYDER_COUNT("dispatch.no_applicable_method");
     return NoApplicableMethod(schema, gf, arg_types);
   }
-  return sorted.front();
+  return target;
 }
 
 Result<MethodId> DispatchByName(const Schema& schema, std::string_view gf_name,
@@ -70,7 +46,7 @@ Result<MethodId> DispatchByName(const Schema& schema, std::string_view gf_name,
 std::vector<MethodId> DispatchOrder(const Schema& schema, GfId gf,
                                     const std::vector<TypeId>& arg_types) {
   TYDER_COUNT("dispatch.order_queries");
-  return SortedApplicable(schema, gf, arg_types, /*need_complete=*/true);
+  return DispatchIndex::Of(schema).Order(schema, gf, arg_types);
 }
 
 }  // namespace tyder

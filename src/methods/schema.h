@@ -14,6 +14,7 @@
 #include "common/analysis_cache.h"
 #include "common/result.h"
 #include "common/status.h"
+#include "methods/dispatch_index.h"
 #include "methods/generic_function.h"
 #include "methods/method.h"
 #include "objmodel/builtin_types.h"
@@ -85,21 +86,17 @@ class Schema {
 
   // Monotone mutation counter covering both the method/gf tables (local
   // bumps) and the type hierarchy (TypeGraph::version). Every derived
-  // structure — dispatch tables, the call-site dispatch cache, the
-  // relevant-call cache — keys its validity on this value, so any schema
-  // mutation invalidates them all on the next read.
+  // structure — the dispatch index, the relevant-call cache — keys its
+  // validity on this value, so any schema mutation invalidates them all on
+  // the next read.
   uint64_t version() const { return version_ + types_.version(); }
 
-  // Version-keyed slots for lazily built analysis structures. The slots are
-  // owned here so they share the schema's lifetime and copy semantics
-  // (copies and rollback targets start cold — see common/analysis_cache.h);
-  // their concrete content types live with the code that builds them
-  // (methods/dispatch_table.cc, mir/call_graph.cc).
-  AnalysisCacheSlot& dispatch_tables_slot() const {
-    return dispatch_tables_slot_;
-  }
-  AnalysisCacheSlot& dispatch_cache_slot() const {
-    return dispatch_cache_slot_;
+  // Where the lazily built derived structures live. They are owned here so
+  // they share the schema's lifetime and copy semantics (copies and rollback
+  // targets start cold); their content types live with the code that builds
+  // them (methods/dispatch_index.cc, mir/call_graph.cc).
+  DispatchIndexSlot& dispatch_index_slot() const {
+    return dispatch_index_slot_;
   }
   AnalysisCacheSlot& relevant_calls_slot() const {
     return relevant_calls_slot_;
@@ -117,8 +114,7 @@ class Schema {
   std::unordered_map<AttrId, MethodId> mutators_;
 
   uint64_t version_ = 0;
-  mutable AnalysisCacheSlot dispatch_tables_slot_;
-  mutable AnalysisCacheSlot dispatch_cache_slot_;
+  mutable DispatchIndexSlot dispatch_index_slot_;
   mutable AnalysisCacheSlot relevant_calls_slot_;
 };
 

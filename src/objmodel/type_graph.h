@@ -77,7 +77,7 @@ class TypeGraph {
   std::string TypeName(TypeId t) const { return types_[t].name().str(); }
 
   // Mutation counter. Any (possible) change to the node/edge structure bumps
-  // it; derived caches (the closure below, Schema's dispatch tables, the
+  // it; derived caches (the closure below, Schema's dispatch index, the
   // relevant-call cache) key their validity on it.
   uint64_t version() const { return version_; }
 

@@ -6,7 +6,7 @@
 
 #include "methods/applicability.h"
 #include "methods/dispatch.h"
-#include "methods/dispatch_table.h"
+#include "methods/dispatch_index.h"
 #include "obs/obs.h"
 #include "oracle/reference.h"
 
@@ -63,12 +63,12 @@ Status CheckOneCall(const Schema& schema, GfId gf,
                     ") = " + MethodListNames(schema, direct) + ", oracle says " +
                     MethodListNames(schema, ref_applicable));
   }
-  std::vector<MethodId> tabled =
-      ApplicableMethodsFromTables(schema, gf, args);
-  if (tabled != ref_applicable) {
-    return Mismatch("ApplicableMethodsFromTables(" + gf_name +
+  std::vector<MethodId> indexed =
+      DispatchIndex::Of(schema).Applicable(schema, gf, args);
+  if (indexed != ref_applicable) {
+    return Mismatch("DispatchIndex::Applicable(" + gf_name +
                     TypeListNames(schema, args) + ") = " +
-                    MethodListNames(schema, tabled) + ", oracle says " +
+                    MethodListNames(schema, indexed) + ", oracle says " +
                     MethodListNames(schema, ref_applicable));
   }
 
@@ -138,14 +138,6 @@ Status CheckDispatchOracle(const Schema& schema,
   std::mt19937 rng(options.seed);
   for (GfId gf = 0; gf < schema.NumGenericFunctions(); ++gf) {
     const int arity = schema.gf(gf).arity;
-    // Crossing kBuildThreshold uses on at least one tuple forces the
-    // mask-table path, so both the cold scan and the hot tables get compared
-    // for this gf within one sweep.
-    const int heat_rounds =
-        options.heat_dispatch_tables
-            ? static_cast<int>(DispatchTables::kBuildThreshold) + 1
-            : 1;
-
     size_t tuple_count = 1;
     for (int i = 0; i < arity && tuple_count <= options.exhaustive_tuple_limit;
          ++i) {
@@ -159,10 +151,7 @@ Status CheckDispatchOracle(const Schema& schema,
           args[static_cast<size_t>(i)] = static_cast<TypeId>(rem % num_types);
           rem /= num_types;
         }
-        const int rounds = k == 0 ? heat_rounds : 1;
-        for (int r = 0; r < rounds; ++r) {
-          TYDER_RETURN_IF_ERROR(CheckOneCall(schema, gf, args));
-        }
+        TYDER_RETURN_IF_ERROR(CheckOneCall(schema, gf, args));
       }
     } else {
       std::uniform_int_distribution<size_t> pick(0, num_types - 1);
@@ -171,10 +160,7 @@ Status CheckDispatchOracle(const Schema& schema,
         for (int i = 0; i < arity; ++i) {
           args.push_back(static_cast<TypeId>(pick(rng)));
         }
-        const int rounds = s == 0 ? heat_rounds : 1;
-        for (int r = 0; r < rounds; ++r) {
-          TYDER_RETURN_IF_ERROR(CheckOneCall(schema, gf, args));
-        }
+        TYDER_RETURN_IF_ERROR(CheckOneCall(schema, gf, args));
       }
     }
   }

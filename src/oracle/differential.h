@@ -1,6 +1,6 @@
 // Differential checking: cross-checks the optimized engine (bitset subtype
-// closure, mask-table dispatch, PIC call-site cache, rank-table specificity
-// sort) against the naive reference implementations in oracle/reference.h on
+// closure, the per-version dispatch index, rank-table specificity sort)
+// against the naive reference implementations in oracle/reference.h on
 // an arbitrary schema. Every check returns OK or a Status::Internal whose
 // message pinpoints the first divergence (the relation, the operands by name,
 // and both answers) — the fuzzer (tests/fuzz/) treats any non-OK as a failing
@@ -32,10 +32,6 @@ struct DifferentialOptions {
   // Enumerate all |types|^arity tuples of a gf when that count is at most
   // this bound; sample otherwise.
   size_t exhaustive_tuple_limit = 2048;
-  // Repeat table-path queries so each gf crosses DispatchTables'
-  // kBuildThreshold and is checked through both the cold direct-scan path
-  // and the hot mask-table path.
-  bool heat_dispatch_tables = true;
 };
 
 // Exhaustive all-pairs IsSubtype vs RefIsSubtype.
@@ -45,7 +41,7 @@ Status CheckSubtypeOracle(const Schema& schema);
 Status CheckCumulativeStateOracle(const Schema& schema);
 
 // For each generic function and each (enumerated or sampled) argument tuple:
-// ApplicableMethods, ApplicableMethodsFromTables, DispatchOrder, and
+// ApplicableMethods, the dispatch index's applicable set, DispatchOrder, and
 // Dispatch each vs their reference counterpart.
 Status CheckDispatchOracle(const Schema& schema,
                            const DifferentialOptions& options = {});

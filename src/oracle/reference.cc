@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <deque>
 
-#include "objmodel/linearize.h"
-
 namespace tyder::oracle {
 
 bool RefIsSubtype(const TypeGraph& graph, TypeId a, TypeId b) {
@@ -91,16 +89,86 @@ std::vector<MethodId> RefApplicableMethods(
 
 namespace {
 
-// Rank of `formal` in the CPL of `actual`, recomputed from scratch:
-// ClassPrecedenceList runs the full C3 merge (or its BFS fallback) and the
-// rank is a linear scan of the result.
+// C3 merge on copied lists: repeatedly take the head of some input list that
+// appears in no other list's tail and erase it everywhere. False if stuck.
+bool RefC3Merge(std::vector<std::vector<TypeId>> inputs,
+                std::vector<TypeId>* out) {
+  auto in_a_tail = [&inputs](TypeId t) {
+    for (const auto& list : inputs) {
+      for (size_t i = 1; i < list.size(); ++i) {
+        if (list[i] == t) return true;
+      }
+    }
+    return false;
+  };
+  for (;;) {
+    inputs.erase(std::remove_if(inputs.begin(), inputs.end(),
+                                [](const auto& l) { return l.empty(); }),
+                 inputs.end());
+    if (inputs.empty()) return true;
+    bool progressed = false;
+    for (const auto& list : inputs) {
+      TypeId head = list.front();
+      if (in_a_tail(head)) continue;
+      out->push_back(head);
+      for (auto& l : inputs) {
+        auto it = std::find(l.begin(), l.end(), head);
+        if (it != l.end()) l.erase(it);
+      }
+      progressed = true;
+      break;
+    }
+    if (!progressed) return false;
+  }
+}
+
+// C3 of `t`, re-linearizing every supertype recursively on every path.
+bool RefC3(const TypeGraph& graph, TypeId t, std::vector<TypeId>* out) {
+  out->push_back(t);
+  const std::vector<TypeId>& supers = graph.type(t).supertypes();
+  if (supers.empty()) return true;
+  std::vector<std::vector<TypeId>> inputs;
+  for (TypeId s : supers) {
+    std::vector<TypeId> sub;
+    if (!RefC3(graph, s, &sub)) return false;
+    inputs.push_back(std::move(sub));
+  }
+  inputs.emplace_back(supers);  // local precedence order
+  return RefC3Merge(std::move(inputs), out);
+}
+
+// Rank of `formal` in the CPL of `actual`, recomputed from scratch: the
+// full recursive C3 (or its BFS fallback), then a linear scan.
 size_t NaiveCplRank(const TypeGraph& graph, TypeId actual, TypeId formal) {
-  std::vector<TypeId> cpl = ClassPrecedenceList(graph, actual);
+  std::vector<TypeId> cpl = RefClassPrecedenceList(graph, actual);
   auto it = std::find(cpl.begin(), cpl.end(), formal);
   return static_cast<size_t>(it - cpl.begin());  // == cpl.size() if absent
 }
 
 }  // namespace
+
+std::vector<TypeId> RefClassPrecedenceList(const TypeGraph& graph, TypeId t) {
+  std::vector<TypeId> cpl;
+  if (RefC3(graph, t, &cpl)) return cpl;
+  // Fallback: breadth-first over the direct supertype edges in precedence
+  // order, each type once.
+  cpl.clear();
+  std::vector<bool> seen(graph.NumTypes(), false);
+  std::deque<TypeId> queue{t};
+  seen[t] = true;
+  while (!queue.empty()) {
+    TypeId cur = queue.front();
+    queue.pop_front();
+    cpl.push_back(cur);
+    for (TypeId super : graph.type(cur).supertypes()) {
+      if (!seen[super]) {
+        seen[super] = true;
+        queue.push_back(super);
+      }
+    }
+  }
+  return cpl;
+}
 
 bool RefMoreSpecific(const Schema& schema, MethodId a, MethodId b,
                      const std::vector<TypeId>& arg_types) {

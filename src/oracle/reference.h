@@ -7,8 +7,9 @@
 // differentially tested against (oracle/differential.h, tests/fuzz/).
 //
 // The price of that independence is asymptotics: RefIsSubtype is a full BFS
-// per query where the engine does one word-test, and RefDispatchOrder
-// re-linearizes precedence lists inside every comparison. That is the point;
+// per query where the engine does one word-test, RefClassPrecedenceList
+// re-linearizes every supertype on every path where the engine memoizes, and
+// RefDispatchOrder re-linearizes inside every comparison. That is the point;
 // keep these slow and obvious.
 
 #ifndef TYDER_ORACLE_REFERENCE_H_
@@ -44,12 +45,18 @@ bool RefApplicableToCall(const Schema& schema, MethodId m,
                          const std::vector<TypeId>& arg_types);
 
 // Linear scan of the gf's methods in registration order — the exact contract
-// ApplicableMethods and ApplicableMethodsFromTables must both honor.
+// ApplicableMethods and the dispatch index's applicable set must both honor.
 std::vector<MethodId> RefApplicableMethods(const Schema& schema, GfId gf,
                                            const std::vector<TypeId>& arg_types);
 
+// The class precedence list of `t` by the recursive C3 merge, with no memo:
+// every supertype is re-linearized on every path that reaches it. When C3
+// fails for `t` or any supertype, a breadth-first walk of the supertype edges
+// in precedence order. The reference for objmodel/linearize.h.
+std::vector<TypeId> RefClassPrecedenceList(const TypeGraph& graph, TypeId t);
+
 // Method specificity by the paper's rule, with the CPL rank looked up by a
-// linear std::find in ClassPrecedenceList on every comparison (no rank
+// linear std::find in RefClassPrecedenceList on every comparison (no rank
 // tables): at the first argument position whose formals differ, the method
 // whose formal appears earlier in the CPL of the actual argument type wins.
 // Ties (identical formals) are not ordered either way.

@@ -292,7 +292,7 @@ class InProcRunner {
         std::vector<TypeId> args;
         size_t n = graph.NumTypes();
         // The first argument takes the population's (possibly Zipf-hot)
-        // payload — the hot-type skew the dispatch PIC and mask tables see.
+        // payload — the hot-type skew the dispatch index sees.
         for (int p = 0; p < schema.gf(gf).arity; ++p) {
           args.push_back(static_cast<TypeId>(
               p == 0 ? Index(step, n) : (step.c + 0x9E3779B9u * p) % n));

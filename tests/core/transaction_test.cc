@@ -331,7 +331,7 @@ TEST(AllOrNothingTest, RollbackDoesNotDependOnVerifier) {
 }
 
 // Rollback and the derived caches: warm every one (subtype closure, dispatch
-// tables, call-site cache), force a mid-derivation fault so the transaction
+// index), force a mid-derivation fault so the transaction
 // rolls the schema back, and check the caches answer for the *restored*
 // schema — the derived type's ids must not leak out of any of them.
 TEST(AllOrNothingTest, RolledBackDerivationLeavesCachesConsistent) {
@@ -343,7 +343,7 @@ TEST(AllOrNothingTest, RolledBackDerivationLeavesCachesConsistent) {
     auto u = schema.FindGenericFunction("u");
     ASSERT_TRUE(u.ok());
 
-    // Warm the closure, the dispatch tables, and a call site.
+    // Warm the closure and the dispatch index.
     EXPECT_TRUE(schema.types().IsSubtype(fx->a, fx->c));
     auto before = Dispatch(schema, *u, {fx->a});
     ASSERT_TRUE(before.ok());

@@ -1,7 +1,8 @@
 // Concurrency stressor for the frozen-schema query paths: N threads hammer
-// IsSubtype / DispatchOrder / ApplicableMethodsFromTables on a freshly
-// invalidated graph, so they race to allocate the closure and build its rows
-// (the prewarm), interleaved with exclusive mutation + Invalidate cycles.
+// IsSubtype / ApplicableMethods / DispatchOrder on a freshly invalidated
+// schema, so they race to allocate the closure and build its rows and to
+// build the dispatch index, interleaved with exclusive mutation + Invalidate
+// cycles.
 // The suite name matches the tsan regex in scripts/run_all.sh, so every
 // cycle runs under ThreadSanitizer in that mode; a single-threaded
 // oracle sweep at the end of each cycle proves the answers stayed right,
@@ -19,8 +20,9 @@
 #include "catalog/catalog.h"
 #include "methods/applicability.h"
 #include "methods/dispatch.h"
-#include "methods/dispatch_table.h"
+#include "mir/builder.h"
 #include "oracle/differential.h"
+#include "oracle/reference.h"
 #include "storage/durable_catalog.h"
 #include "testing/fixtures.h"
 #include "testing/random_schema.h"
@@ -45,7 +47,7 @@ TEST(OracleStressTest, ConcurrentQueriesDuringPrewarmInvalidateCycles) {
 
   for (int cycle = 0; cycle < kCycles; ++cycle) {
     // Exclusive mutation phase: grow the hierarchy, invalidating the closure
-    // and (via the version bump) every dispatch table and cache line.
+    // and (via the version bump) the dispatch index.
     TypeGraph& graph = schema.types();
     auto t = graph.DeclareType("S" + std::to_string(cycle), TypeKind::kUser);
     ASSERT_TRUE(t.ok()) << t.status().ToString();
@@ -71,12 +73,11 @@ TEST(OracleStressTest, ConcurrentQueriesDuringPrewarmInvalidateCycles) {
           for (int i = 0; i < schema.gf(gf).arity; ++i) {
             args.push_back(static_cast<TypeId>(pick_type(rng)));
           }
-          std::vector<MethodId> tabled =
-              ApplicableMethodsFromTables(schema, gf, args);
+          std::vector<MethodId> scanned = ApplicableMethods(schema, gf, args);
           std::vector<MethodId> order = DispatchOrder(schema, gf, args);
           // Cheap cross-thread sanity: the dispatch order is a permutation
-          // of the applicable set, whatever interleaving built the tables.
-          if (tabled.size() != order.size()) ok.store(false);
+          // of the applicable set, whatever interleaving built the index.
+          if (scanned.size() != order.size()) ok.store(false);
         }
       });
     }
@@ -103,10 +104,22 @@ TEST(OracleStressTest, ConcurrentQueriesDuringPrewarmInvalidateCycles) {
 // derive / collapse / revert cycles through the group-committed WAL,
 // publishing a new epoch per commit. Every pinned snapshot must agree
 // with the naive oracle — a reader can observe any committed epoch, but
-// never a torn or half-mutated one.
+// never a torn or half-mutated one. `age` gets a second method, so the
+// readers' first dispatches on a fresh epoch race to build a dispatch index
+// with real content.
 TEST(OracleStressTest, EpochChurnReadersMatchOracleOnPinnedSnapshots) {
   auto fx = testing::BuildPersonEmployee();
   ASSERT_TRUE(fx.ok()) << fx.status().ToString();
+  GfId age = fx->schema.method(fx->age).gf;
+  Method age_employee;
+  age_employee.label = Symbol::Intern("age_employee");
+  age_employee.gf = age;
+  age_employee.kind = MethodKind::kGeneral;
+  age_employee.sig = fx->schema.method(fx->age).sig;
+  age_employee.sig.params = {fx->employee};
+  age_employee.param_names = {Symbol::Intern("e")};
+  age_employee.body = mir::Seq({mir::Return(mir::IntLit(40))});
+  ASSERT_TRUE(fx->schema.AddMethod(std::move(age_employee)).ok());
 
   std::filesystem::path dir =
       std::filesystem::temp_directory_path() / "tyder_epoch_churn_stress";
@@ -142,8 +155,15 @@ TEST(OracleStressTest, EpochChurnReadersMatchOracleOnPinnedSnapshots) {
           for (int i = 0; i < schema.gf(gf).arity; ++i) {
             args.push_back(static_cast<TypeId>(pick_type(rng)));
           }
-          if (ApplicableMethodsFromTables(schema, gf, args).size() !=
+          if (ApplicableMethods(schema, gf, args).size() !=
               DispatchOrder(schema, gf, args).size()) {
+            ok.store(false);
+          }
+        }
+        for (TypeId t = 0; t < num_types; ++t) {
+          Result<MethodId> got = Dispatch(schema, age, {t});
+          Result<MethodId> want = oracle::RefDispatch(schema, age, {t});
+          if (got.ok() != want.ok() || (got.ok() && *got != *want)) {
             ok.store(false);
           }
         }

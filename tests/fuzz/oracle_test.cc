@@ -1,13 +1,17 @@
 // Differential oracle (src/oracle) unit tests: the naive reference
 // implementations agree with the optimized engine on the paper fixtures and
-// on random schemas, including multi-method dispatch with varied specificity.
+// on random schemas, including multi-method dispatch with varied specificity
+// and class precedence lists with and without a C3 linearization.
 
 #include <gtest/gtest.h>
 
+#include <random>
 #include <vector>
 
 #include "catalog/catalog.h"
+#include "core/projection.h"
 #include "methods/dispatch.h"
+#include "objmodel/linearize.h"
 #include "oracle/differential.h"
 #include "oracle/reference.h"
 #include "testing/fixtures.h"
@@ -118,6 +122,78 @@ TEST(OracleDifferentialTest, DerivedStateMatchesProjectedSet) {
   // The whole post-derivation schema (surrogates included) still passes.
   s = oracle::CheckSchemaAgainstOracle(catalog.schema());
   EXPECT_TRUE(s.ok()) << s.ToString();
+}
+
+// Schemas shaped like repobench evolve's: 40 user types with up to 3
+// supertypes each, so C3 rejects many of them.
+Result<Schema> EvolveShapedSchema(uint32_t seed) {
+  testing::RandomSchemaOptions gen;
+  gen.seed = seed;
+  gen.num_types = 40;
+  gen.max_supers = 3;
+  gen.attrs_per_type = 2;
+  gen.num_general_methods = gen.num_types / 3;
+  gen.max_stmts_per_body = 4;
+  gen.with_mutators = true;
+  gen.methods_per_gf = 2;
+  return testing::GenerateRandomSchema(gen);
+}
+
+// The engine's memoized CPLs, one at a time and all at once, against the
+// recursive reference for every type; counts types and BFS fallbacks.
+void ExpectCplsMatchReference(const Schema& schema, const std::string& where,
+                              int* types, int* fallbacks) {
+  const TypeGraph& graph = schema.types();
+  std::vector<std::vector<TypeId>> all = AllClassPrecedenceLists(graph);
+  ASSERT_EQ(all.size(), graph.NumTypes());
+  for (TypeId t = 0; t < graph.NumTypes(); ++t) {
+    std::vector<TypeId> ref = oracle::RefClassPrecedenceList(graph, t);
+    EXPECT_EQ(ClassPrecedenceList(graph, t), ref)
+        << where << ", type " << graph.TypeName(t);
+    EXPECT_EQ(all[t], ref) << where << ", type " << graph.TypeName(t);
+    ++*types;
+    if (!HasC3Linearization(graph, t)) ++*fallbacks;
+  }
+}
+
+TEST(CplReferenceTest, MemoizedC3MatchesReferenceOnEvolveSchemas) {
+  int types = 0, fallbacks = 0;
+  for (uint32_t seed = 1; seed <= 24; ++seed) {
+    auto schema = EvolveShapedSchema(seed);
+    ASSERT_TRUE(schema.ok()) << schema.status();
+    ExpectCplsMatchReference(*schema, "seed " + std::to_string(seed), &types,
+                             &fallbacks);
+  }
+  // Builtins included; the fallbacks exercise the BFS order.
+  EXPECT_EQ(types, 1128);
+  EXPECT_EQ(fallbacks, 365);
+}
+
+TEST(CplReferenceTest, MemoizedC3MatchesReferenceAfterAcceptedDerivations) {
+  int types = 0, fallbacks = 0, accepted = 0;
+  for (uint32_t seed = 1; seed <= 24; ++seed) {
+    auto generated = EvolveShapedSchema(seed);
+    ASSERT_TRUE(generated.ok()) << generated.status();
+    Schema schema = std::move(generated).value();
+    std::mt19937 rng(seed);
+    for (int i = 0; i < 6; ++i) {
+      Schema after = schema;
+      ProjectionSpec spec;
+      spec.view_name = "V" + std::to_string(i);
+      if (!workload::PickRandomProjection(after, rng(), &spec.source,
+                                          &spec.attributes)) {
+        continue;
+      }
+      if (!DeriveProjection(after, spec).ok()) continue;
+      ++accepted;
+      schema = std::move(after);
+      ExpectCplsMatchReference(
+          schema, "seed " + std::to_string(seed) + ", view " + spec.view_name,
+          &types, &fallbacks);
+    }
+  }
+  EXPECT_GT(accepted, 24);
+  EXPECT_GT(fallbacks, 0);
 }
 
 }  // namespace
