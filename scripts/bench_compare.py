@@ -5,9 +5,9 @@ Usage:
     scripts/bench_compare.py BASELINE.json CURRENT.json [--threshold PCT]
 
 Both inputs are tyder-bench-v1 JSON files assembled from BENCHJSON lines:
-the `obs` mode of scripts/run_all.sh writes them from bench_obs, the
-`scenarios` mode from tyder_workload's pack replays. The tool pairs results by
-(bench binary, benchmark name), prints a per-benchmark delta table, and exits
+the `obs` mode of scripts/run_all.sh writes them from bench_obs. The tool
+pairs results by (bench binary, benchmark name), prints a per-benchmark delta
+table, and exits
 non-zero if any paired benchmark's cpu_time_ns regressed by more than the
 threshold (default 25%).
 
@@ -32,18 +32,9 @@ Multi-threaded benchmarks (name contains "/threads:") and any result that
 reports items_per_second on both sides are compared by throughput instead
 of cpu_time_ns: with N contending threads, aggregate CPU time measures
 contention overhead, not progress — a group-commit batch that doubles
-commit throughput also burns more total CPU in the leader — and the
-scenario replays (BENCH_scenario_*.json) report steps/mutations/reads per
-second the same way. A drop in items/sec beyond the threshold is the
-regression; the ns floor does not apply (throughput benches are never
-instruction-scale).
-
-Scenario reports are newer than most recorded baselines: a baseline file
-that predates `run_all.sh scenarios` simply has no scenario_* entries, so
-every scenario result shows as "NEW (not compared)" and the gate still
-passes. --allow-missing-baseline extends the same tolerance to a wholly
-absent baseline FILE (first run on a fresh checkout): everything reports
-as new and the exit status is 0.
+commit throughput also burns more total CPU in the leader. A drop in
+items/sec beyond the threshold is the regression; the ns floor does not
+apply (throughput benches are never instruction-scale).
 """
 
 import argparse
@@ -51,20 +42,12 @@ import json
 import sys
 
 
-def load_results(path, missing_ok=False):
-    """-> {(bench, name): result-dict}, preserving insertion order.
-
-    With missing_ok, an unreadable file is treated as an empty report (every
-    current result becomes NEW) instead of a fatal error.
-    """
+def load_results(path):
+    """-> {(bench, name): result-dict}, preserving insertion order."""
     try:
         with open(path) as f:
             doc = json.load(f)
     except (OSError, json.JSONDecodeError) as e:
-        if missing_ok:
-            print(f"bench_compare: no baseline at {path} ({e.__class__.__name__}); "
-                  "everything will report as NEW")
-            return {}
         sys.exit(f"bench_compare: cannot read {path}: {e}")
     if doc.get("schema") != "tyder-bench-v1":
         sys.exit(f"bench_compare: {path} is not a tyder-bench-v1 report")
@@ -85,14 +68,9 @@ def main():
     parser.add_argument("--floor-ns", type=float, default=5.0,
                         help="absolute deltas below this never gate "
                              "(default 5ns; see module docstring)")
-    parser.add_argument("--allow-missing-baseline", action="store_true",
-                        help="treat an absent/unreadable baseline file as an "
-                             "empty report (everything NEW, exit 0) instead "
-                             "of a fatal error")
     args = parser.parse_args()
 
-    baseline = load_results(args.baseline,
-                            missing_ok=args.allow_missing_baseline)
+    baseline = load_results(args.baseline)
     current = load_results(args.current)
 
     regressions = []
@@ -104,9 +82,8 @@ def main():
         if base is None:
             rows.append((label, None, None, "NEW (not compared)"))
             continue
-        # Correctness flags from the reproduction binaries and the scenario
-        # replays (oracle_clean/ledger_clean/deterministic): any true->false
-        # flip is a regression regardless of timing.
+        # Correctness flags from the reproduction binaries (`match`): any
+        # true->false flip is a regression regardless of timing.
         for flag, base_value in base.items():
             if isinstance(base_value, bool) and base_value \
                     and cur.get(flag) is False:

@@ -20,18 +20,16 @@
 #        scripts/run_all.sh obs [build-dir] [off-build-dir]
 #        scripts/run_all.sh epoch [seconds] [build-dir]
 #        scripts/run_all.sh serve [seconds] [build-dir]
-#        scripts/run_all.sh scenarios [build-dir] [out-dir]
-#        scripts/run_all.sh scenarios long [seconds] [build-dir]
 #
 # The `asan` mode builds with -DTYDER_SANITIZE=address,undefined (default
 # build dir: build-asan) and runs the tier-1 test suite — including the
 # fault-injection/rollback tests — under ASan+UBSan.
 #
 # The `tsan` mode builds with -DTYDER_SANITIZE=thread (default build dir:
-# build-tsan) and runs the concurrency-sensitive suites — the dispatch-table/
-# call-site-cache tests, the subtype-closure cache tests, the oracle and obs
-# stress tests, the epoch catalog, and the server, net fault-matrix and chaos
-# suites — under ThreadSanitizer.
+# build-tsan) and runs the concurrency-sensitive suites — the dispatch-index
+# tests, the subtype-closure cache tests, the oracle and obs stress tests,
+# the epoch catalog, and the server, net fault-matrix and chaos suites —
+# under ThreadSanitizer.
 #
 # The `ubsan` mode builds with -DTYDER_SANITIZE=undefined alone (default
 # build dir: build-ubsan) and runs the full tier-1 suite — catches UB that
@@ -72,22 +70,6 @@
 # down cleanly on SIGTERM, and the database directory must reopen healthy.
 # A second leg re-runs the net concurrency suites under ThreadSanitizer.
 #
-# The `scenarios` mode is the macro-workload gate (docs/TESTING.md
-# "Scenario packs"): every checked-in bench/scenarios/*.scn pack replays
-# deterministically — in-proc packs run twice under --check-determinism with
-# the differential oracle in lockstep; wire packs are driven over the tyder1
-# protocol against a real tyderd booted for the run (acked/nacked ledger +
-# server-side verify must come back clean, the daemon must shut down cleanly
-# on SIGTERM afterwards). Each pack's BENCHJSON report is written to
-# <out-dir>/BENCH_scenario_<name>.json (default: a temp dir; pass `.` to
-# re-record the committed baselines) and compared against the committed
-# BENCH_scenario_<name>.json trajectory with bench_compare.py — correctness
-# flags (oracle_clean/ledger_clean/deterministic) gate hard, throughput
-# gates at a tolerant 50% because scenario replays are macro numbers.
-# `scenarios long [seconds]` is the sustained-load variant: repeated timed
-# replays (phase pace honored, fresh seed per round) until the budget is
-# spent — a soak, not a gate; reports are printed but not recorded.
-#
 # The `epoch` mode is the MVCC + group-commit concurrency gate
 # (docs/PERFORMANCE.md "Schema epochs and group commit"): it builds with
 # ThreadSanitizer and runs the epoch reclamation suite, the epoch-churn
@@ -103,6 +85,11 @@ if [ "${1:-}" = "bench" ]; then
   # through and configure a build in the bench/ source directory.
   echo "run_all.sh: the bench mode is retired; measure with" \
     "'python3 repobench/run.py' (see BENCHMARK.json)" >&2
+  exit 2
+elif [ "${1:-}" = "scenarios" ]; then
+  # Likewise retired: the scenario packs replay as fuzz-corpus traces.
+  echo "run_all.sh: the scenarios mode is retired; the scenario traces" \
+    "replay in FuzzCorpusTest (see docs/TESTING.md)" >&2
   exit 2
 elif [ "${1:-}" = "asan" ]; then
   MODE=asan
@@ -130,9 +117,6 @@ elif [ "${1:-}" = "epoch" ]; then
   shift
 elif [ "${1:-}" = "serve" ]; then
   MODE=serve
-  shift
-elif [ "${1:-}" = "scenarios" ]; then
-  MODE=scenarios
   shift
 fi
 
@@ -223,145 +207,6 @@ if [ "$MODE" = "serve" ]; then
   ctest --test-dir "$TSAN_BUILD" --output-on-failure \
     -R 'ServerTest|NetFaultMatrix|ChaosTest'
   echo "SERVE GREEN"
-  exit 0
-fi
-
-if [ "$MODE" = "scenarios" ]; then
-  LONG=0
-  if [ "${1:-}" = "long" ]; then
-    LONG=1
-    shift
-    SECONDS_BUDGET="${1:-120}"
-    BUILD="${2:-build}"
-    OUT_DIR=""
-  else
-    BUILD="${1:-build}"
-    OUT_DIR="${2:-}"
-  fi
-  cmake -B "$BUILD" -G Ninja
-  cmake --build "$BUILD"
-  WORKLOAD="$BUILD/tools/tyder_workload"
-
-  # Split the checked-in packs by mode: wire packs need a live tyderd.
-  INPROC_PACKS=()
-  WIRE_PACKS=()
-  for pack in bench/scenarios/*.scn; do
-    if grep -q '^mode wire$' "$pack"; then
-      WIRE_PACKS+=("$pack")
-    else
-      INPROC_PACKS+=("$pack")
-    fi
-  done
-
-  DAEMON_PID=""
-  boot_tyderd() {
-    DB="$(mktemp -d)/db"
-    DAEMON_LOG="$(mktemp)"
-    "$BUILD/tools/tyderd" --db "$DB" examples/payroll.tdl --admin \
-      > "$DAEMON_LOG" 2>&1 &
-    DAEMON_PID=$!
-    PORT=""
-    for _ in $(seq 1 100); do
-      PORT="$(grep -aoE '^LISTENING [0-9]+' "$DAEMON_LOG" | awk '{print $2}' || true)"
-      [ -n "$PORT" ] && break
-      kill -0 "$DAEMON_PID" 2>/dev/null || {
-        echo "ERROR: tyderd died before listening" >&2
-        cat "$DAEMON_LOG" >&2
-        exit 1
-      }
-      sleep 0.1
-    done
-    if [ -z "$PORT" ]; then
-      echo "ERROR: tyderd never reported LISTENING" >&2
-      kill "$DAEMON_PID" 2>/dev/null || true
-      exit 1
-    fi
-  }
-  stop_tyderd() {
-    kill -TERM "$DAEMON_PID"
-    DAEMON_RC=0
-    wait "$DAEMON_PID" || DAEMON_RC=$?
-    if [ "$DAEMON_RC" -ne 0 ]; then
-      echo "ERROR: tyderd exited $DAEMON_RC on SIGTERM, want 0" >&2
-      cat "$DAEMON_LOG" >&2
-      exit 1
-    fi
-    # Everything the replay acked must survive the restart boundary.
-    "$BUILD/tools/tyderc" --db "$DB" --health | grep -q "state: healthy" || {
-      echo "ERROR: db did not reopen healthy after the scenario replay" >&2
-      exit 1
-    }
-    rm -rf "$(dirname "$DB")" "$DAEMON_LOG"
-    DAEMON_PID=""
-  }
-
-  if [ "$LONG" = 1 ]; then
-    echo "=== long scenario soak (${SECONDS_BUDGET}s, timed replays) ==="
-    if [ "${#WIRE_PACKS[@]}" -gt 0 ]; then boot_tyderd; fi
-    round=0
-    SECONDS=0
-    while [ "$SECONDS" -lt "$SECONDS_BUDGET" ]; do
-      for pack in "${INPROC_PACKS[@]}"; do
-        echo "--- $pack (round $round, timed)"
-        "$WORKLOAD" --pack "$pack" --timed --seed $((7000 + round)) \
-          | grep -v '^BENCHJSON: '
-      done
-      for pack in "${WIRE_PACKS[@]}"; do
-        echo "--- $pack over the wire (round $round, timed)"
-        "$WORKLOAD" --pack "$pack" --port "$PORT" --timed \
-          --seed $((7000 + round)) | grep -v '^BENCHJSON: '
-      done
-      round=$((round + 1))
-    done
-    if [ -n "$DAEMON_PID" ]; then stop_tyderd; fi
-    echo "SCENARIOS GREEN (long, $round rounds)"
-    exit 0
-  fi
-
-  if [ -z "$OUT_DIR" ]; then
-    OUT_DIR="$(mktemp -d)"
-  fi
-  mkdir -p "$OUT_DIR"
-
-  run_pack() {  # <pack-file> [driver args...]
-    local pack="$1"
-    shift
-    local name out line
-    name="$(basename "$pack" .scn)"
-    out="$("$WORKLOAD" --pack "$pack" "$@")"
-    printf '%s\n' "$out" | grep -v '^BENCHJSON: '
-    line="$(printf '%s\n' "$out" | grep -a 'BENCHJSON: ' \
-      | sed 's/^.*BENCHJSON: //')"
-    if [ -z "$line" ]; then
-      echo "ERROR: $pack emitted no BENCHJSON line" >&2
-      return 1
-    fi
-    printf '{"schema":"tyder-bench-v1","benches":[%s]}\n' "$line" \
-      > "$OUT_DIR/BENCH_scenario_$name.json"
-    echo "wrote $OUT_DIR/BENCH_scenario_$name.json"
-    # Gate against the committed trajectory: correctness flags hard, macro
-    # throughput tolerant. A baseline that predates this pack passes as NEW.
-    python3 scripts/bench_compare.py "BENCH_scenario_$name.json" \
-      "$OUT_DIR/BENCH_scenario_$name.json" \
-      --threshold 50 --allow-missing-baseline
-  }
-
-  echo "=== in-proc scenario replays (oracle lockstep, determinism check) ==="
-  for pack in "${INPROC_PACKS[@]}"; do
-    echo "--- $pack"
-    run_pack "$pack" --check-determinism
-  done
-
-  if [ "${#WIRE_PACKS[@]}" -gt 0 ]; then
-    echo "=== wire scenario replays (real tyderd, ack ledger) ==="
-    boot_tyderd
-    for pack in "${WIRE_PACKS[@]}"; do
-      echo "--- $pack over the wire (port $PORT)"
-      run_pack "$pack" --port "$PORT"
-    done
-    stop_tyderd
-  fi
-  echo "SCENARIOS GREEN"
   exit 0
 fi
 

@@ -146,11 +146,15 @@ uint64_t FireCount(std::string_view name) {
 }
 
 Status Fire(FailPoint* point, const char* name) {
+  // Take one shot in a single atomic step: threads racing for the last shot
+  // of a counted point must not both take it, or `remaining` drops below
+  // zero and the point fires on every hit until deactivated.
   int remaining = point->remaining.load(std::memory_order_relaxed);
-  if (remaining == 0) return Status::OK();
-  if (remaining > 0) {
-    point->remaining.fetch_sub(1, std::memory_order_relaxed);
+  while (remaining > 0 &&
+         !point->remaining.compare_exchange_weak(remaining, remaining - 1,
+                                                 std::memory_order_relaxed)) {
   }
+  if (remaining == 0) return Status::OK();
   point->fires.fetch_add(1, std::memory_order_relaxed);
   // Black-box the injection: the event lands in the thread's ring, and if a
   // dump directory is configured (the crash matrix arms one) the full

@@ -2,6 +2,10 @@
 // multiple-inheritance DAGs, attributes, accessors, and general methods with
 // type-correct bodies (accessor calls, nested generic-function calls, local
 // declarations and assignments that exercise the Section 6.3/6.4 machinery).
+//
+// It is part of libtyder, not of the test tree, because repobench's evolve
+// workload generates its schemas with it; the tests reach it through
+// tests/testing/random_schema.h.
 
 #ifndef TYDER_WORKLOAD_RANDOM_SCHEMA_H_
 #define TYDER_WORKLOAD_RANDOM_SCHEMA_H_

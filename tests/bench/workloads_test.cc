@@ -1,8 +1,8 @@
 // Unit tests for the synthetic bench schema generators (ISSUE 10 satellite).
 //
-// The scalability benches and the macro-workload scenario baselines are only
-// comparable across runs if these generators are deterministic in their
-// parameters and produce the documented shapes; this pins both.
+// The scalability benches are only comparable across runs if these
+// generators are deterministic in their parameters and produce the
+// documented shapes; this pins both.
 
 #include "workloads.h"
 

@@ -11,9 +11,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <functional>
 #include <set>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "catalog/catalog.h"
 #include "catalog/diff.h"
@@ -109,6 +112,35 @@ TEST(FailPointTest, CountedActivationFiresExactlyNTimes) {
   EXPECT_FALSE(HitVerifyBeforePoint().ok());
   EXPECT_FALSE(HitVerifyBeforePoint().ok());
   EXPECT_TRUE(HitVerifyBeforePoint().ok());  // shots exhausted
+}
+
+// Threads hitting an armed point race for its shots: each arming with one
+// shot must fire exactly once, never leave the point armed for good.
+TEST(FailPointTest, CountedActivationFiresExactlyNTimesUnderContention) {
+  failpoint::DeactivateAll();
+  failpoint::FailPoint* point = failpoint::GetPoint("verify.before");
+  const uint64_t fires = failpoint::FireCount("verify.before");
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> hitters;
+  for (int t = 0; t < 4; ++t) {
+    hitters.emplace_back([&stop] {
+      while (!stop.load(std::memory_order_relaxed)) {
+        (void)HitVerifyBeforePoint();
+      }
+    });
+  }
+  constexpr int kRounds = 20000;
+  for (int round = 0; round < kRounds; ++round) {
+    failpoint::Activate("verify.before", 1);
+    while (point->remaining.load(std::memory_order_relaxed) > 0) {
+    }
+  }
+  stop.store(true, std::memory_order_relaxed);
+  for (std::thread& hitter : hitters) hitter.join();
+  EXPECT_EQ(point->remaining.load(), 0);
+  EXPECT_EQ(failpoint::FireCount("verify.before") - fires,
+            static_cast<uint64_t>(kRounds));
+  failpoint::DeactivateAll();
 }
 
 TEST(FailPointTest, AlwaysActivationFiresUntilDeactivated) {

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <filesystem>
 #include <map>
@@ -20,6 +21,7 @@
 #include "oracle/differential.h"
 #include "oracle/reference.h"
 #include "storage/catalog_snapshot.h"
+#include "storage/crc32c.h"
 #include "storage/durable_catalog.h"
 #include "storage/faulty_env.h"
 
@@ -134,6 +136,7 @@ const char* OpName(OpKind kind) {
     case OpKind::kCrash:    return "crash";
     case OpKind::kEnvFault: return "envfault";
     case OpKind::kConCommit: return "concommit";
+    case OpKind::kGeneralize: return "generalize";
   }
   return "?";
 }
@@ -142,7 +145,8 @@ bool OpKindFromName(std::string_view name, OpKind* kind) {
   for (OpKind k : {OpKind::kDerive, OpKind::kCollapse, OpKind::kDrop,
                    OpKind::kQuery, OpKind::kNewType, OpKind::kNewAttr,
                    OpKind::kNewEdge, OpKind::kSave, OpKind::kLoad,
-                   OpKind::kCrash, OpKind::kEnvFault, OpKind::kConCommit}) {
+                   OpKind::kCrash, OpKind::kEnvFault, OpKind::kConCommit,
+                   OpKind::kGeneralize}) {
     if (name == OpName(k)) {
       *kind = k;
       return true;
@@ -194,6 +198,7 @@ class TraceRunner {
       case OpKind::kCrash:    return DoCrash(op);
       case OpKind::kEnvFault: return DoEnvFault(op);
       case OpKind::kConCommit: return DoConCommit(op);
+      case OpKind::kGeneralize: return DoGeneralize(op);
     }
     return Fail("unknown op kind");
   }
@@ -207,6 +212,8 @@ class TraceRunner {
         oracle::CheckCumulativeStateOracle(catalog_.schema()));
     return Status::OK();
   }
+
+  uint32_t FinalCrc() const { return storage::Crc32c(Serialized()); }
 
  private:
   // --- shared helpers -------------------------------------------------------
@@ -309,28 +316,74 @@ class TraceRunner {
       attr_set.insert(attrs.back());
     }
     std::string vname = "FZV" + std::to_string(next_view_++);
+    return DefineAndCheck(
+        "DefineProjectionView(" + vname + ")", vname, src, std::move(attr_set),
+        [&] { return catalog_.DefineProjectionView(vname, src, attrs); });
+  }
+
+  // A generalization is the projection of its first type onto the
+  // attributes both types carry (core/algebra.h), and enters the model so.
+  Status DoGeneralize(const FuzzOp& op) {
+    std::vector<std::string> names = model_.TrackedNames();
+    const std::string& first = names[op.a % names.size()];
+    const std::string& second = names[op.b % names.size()];
+    std::set<std::string> second_set = model_.Cumulative(second);
+    std::set<std::string> common;
+    for (const std::string& attr : model_.Cumulative(first)) {
+      if (second_set.count(attr) != 0) common.insert(attr);
+    }
+    std::string vname = "FZV" + std::to_string(next_view_++);
+    return DefineAndCheck(
+        "DefineGeneralizationView(" + vname + ", " + first + ", " + second +
+            ")",
+        vname, first, std::move(common), [&] {
+          return catalog_.DefineGeneralizationView(vname, first, second);
+        });
+  }
+
+  // Runs `define`, which defines view `vname` over the attribute set
+  // `attr_set` of `src`. A refusal is tolerated (the verifier may
+  // legitimately reject exotic schemas) but must be invisible, and a view
+  // over no attributes must be refused with FailedPrecondition. An accepted
+  // view must leave dispatch over the pre-existing types unchanged and carry
+  // exactly `attr_set`; it then enters the model as a projection of `src`.
+  template <typename Define>
+  Status DefineAndCheck(const std::string& what, const std::string& vname,
+                        const std::string& src, std::set<std::string> attr_set,
+                        Define define) {
     std::string pre = Serialized();
     Schema pre_schema = catalog_.schema();
-    Result<const ViewDef*> r =
-        catalog_.DefineProjectionView(vname, src, attrs);
+    Result<const ViewDef*> r = define();
     if (!r.ok()) {
-      // A refused derivation is tolerated (the verifier may legitimately
-      // reject exotic schemas) but must be invisible.
-      return CheckUnchanged(pre, "DefineProjectionView(" + vname + ")");
+      TYDER_RETURN_IF_ERROR(CheckUnchanged(pre, what));
+      if (attr_set.empty() &&
+          r.status().code() != StatusCode::kFailedPrecondition) {
+        return Fail(what + " over no attributes was refused with " +
+                    r.status().ToString() + ", want FailedPrecondition");
+      }
+      return Status::OK();
+    }
+    if (attr_set.empty()) {
+      return Fail(what + " over no attributes was accepted");
     }
     // The verifier accepted it by its certificate; the exhaustive sweep must
     // agree that no call over pre-existing types dispatches differently.
     std::vector<std::string> issues;
     CheckDispatchPreserved(pre_schema, catalog_.schema(), &issues);
     if (!issues.empty()) {
-      return Fail("DefineProjectionView(" + vname + ") was accepted but " +
-                  issues.front());
+      return Fail(what + " was accepted but " + issues.front());
+    }
+    std::vector<AttrId> expected;
+    for (const std::string& name : attr_set) {
+      Result<AttrId> attr = catalog_.schema().types().FindAttribute(name);
+      if (!attr.ok()) return Fail(what + ": no attribute '" + name + "'");
+      expected.push_back(*attr);
     }
     ApplyDeriveToModel(vname, src, std::move(attr_set));
     // Section 5, from first principles: derived cumulative state == the
     // projected attribute set.
     return oracle::CheckDerivedState(catalog_.schema(), (*r)->derived,
-                                     (*r)->attributes);
+                                     expected);
   }
 
   Status DoCollapse() {
@@ -544,12 +597,38 @@ class TraceRunner {
             "-" + std::to_string(dir_counter.fetch_add(1)));
   }
 
-  // Recovery landed on `recovered`: adopt it and sync the model to
-  // whichever side of the interrupted op it is.
-  Status AdoptRecovered(const InterruptedOp& iop, storage::DurableCatalog& re,
-                        const std::string& recovered, const std::string& pre,
-                        const std::string& post) {
-    catalog_ = re.catalog();
+  // The ephemeral store in `dir` has just "crashed" after `what` interrupted
+  // `iop` (`op_ok`: the op was acknowledged). Simulates the power loss if
+  // asked, recovers, and requires the recovered catalog to be byte-identical
+  // to the pre- or post-state, and to the post-state if an acknowledged op
+  // met a power loss. Then adopts it and syncs the model to whichever side
+  // of the interrupted op it is.
+  Status RecoverAndAdopt(const InterruptedOp& iop,
+                         const std::filesystem::path& dir,
+                         storage::FaultyEnv& env, const std::string& what,
+                         bool op_ok, bool power_loss, const std::string& pre,
+                         const std::string& post) {
+    if (power_loss) env.PowerLoss();
+    Result<storage::DurableCatalog> re =
+        storage::DurableCatalog::Open(dir.string());
+    std::error_code ec;
+    if (!re.ok()) {
+      std::filesystem::remove_all(dir, ec);
+      return Fail("recovery after " + what +
+                  " failed: " + re.status().ToString());
+    }
+    std::string recovered = storage::SerializeCatalog(re->catalog());
+    std::filesystem::remove_all(dir, ec);
+    if (recovered != pre && recovered != post) {
+      return Fail("recovery after " + what +
+                  " landed on neither the pre- nor the post-state of the "
+                  "interrupted op");
+    }
+    if (op_ok && power_loss && recovered != post) {
+      return Fail("acknowledged op did not survive the power loss after " +
+                  what + " (durability violated)");
+    }
+    catalog_ = re->catalog();
     if (recovered == post && recovered != pre) {
       if (iop.variant == 0) {
         ApplyDeriveToModel(iop.vname, iop.src, iop.attr_set);
@@ -560,6 +639,9 @@ class TraceRunner {
     return Status::OK();
   }
 
+  // A failpoint "crash": the op runs against an ephemeral DurableCatalog
+  // with one storage failpoint armed, then the handle drops, optionally
+  // followed by a power loss that discards everything unsynced (b%2).
   Status DoCrash(const FuzzOp& op) {
     static const char* const kWalFaults[] = {
         "storage.wal.after_append", "storage.wal.after_sync",
@@ -571,15 +653,18 @@ class TraceRunner {
     if (iop.skip) return Status::OK();
     const char* fault = iop.variant == 3 ? kCompactFaults[op.c % 2]
                                          : kWalFaults[op.c % 4];
+    bool power_loss = (op.b % 2) != 0;
 
     std::string pre = Serialized();
     bool would_commit = false;
     std::string post = PostState(iop, pre, &would_commit);
 
     std::filesystem::path dir = EphemeralDir("");
+    storage::FaultyEnv env;  // injects nothing; records what was synced
+    bool op_ok = false;
     {
       Result<storage::DurableCatalog> db =
-          storage::DurableCatalog::Open(dir.string());
+          storage::DurableCatalog::Open(dir.string(), &env);
       if (!db.ok()) {
         return Fail("DurableCatalog::Open failed: " + db.status().ToString());
       }
@@ -589,29 +674,15 @@ class TraceRunner {
       }
       failpoint::Activate(fault, 1);
       if (iop.variant == 3) {
-        (void)db->Compact();
+        op_ok = db->Compact().ok();
       } else {
-        (void)ApplyInterrupted(iop, *db);
+        op_ok = ApplyInterrupted(iop, *db);
       }
       failpoint::Deactivate(fault);
     }  // drop the handle: the "crash"
-
-    Result<storage::DurableCatalog> re =
-        storage::DurableCatalog::Open(dir.string());
-    std::error_code ec;
-    if (!re.ok()) {
-      std::filesystem::remove_all(dir, ec);
-      return Fail("recovery after fault '" + std::string(fault) +
-                  "' failed: " + re.status().ToString());
-    }
-    std::string recovered = storage::SerializeCatalog(re->catalog());
-    std::filesystem::remove_all(dir, ec);
-    if (recovered != pre && recovered != post) {
-      return Fail("recovery after fault '" + std::string(fault) +
-                  "' landed on neither the pre- nor the post-state of the "
-                  "interrupted op");
-    }
-    return AdoptRecovered(iop, *re, recovered, pre, post);
+    return RecoverAndAdopt(iop, dir, env,
+                           "fault '" + std::string(fault) + "'", op_ok,
+                           power_loss, pre, post);
   }
 
   // An injected I/O error (rather than a simulated crash): the operation
@@ -643,7 +714,6 @@ class TraceRunner {
     std::filesystem::path dir = EphemeralDir("env-");
     storage::FaultyEnv env;
     bool op_ok = false;
-    std::error_code ec;
     {
       Result<storage::DurableCatalog> db =
           storage::DurableCatalog::Open(dir.string(), &env);
@@ -684,26 +754,8 @@ class TraceRunner {
                     " but the live catalog matches neither side");
       }
     }  // crash: drop the handle
-    if (power_loss) env.PowerLoss();
-
-    Result<storage::DurableCatalog> re =
-        storage::DurableCatalog::Open(dir.string());
-    if (!re.ok()) {
-      std::filesystem::remove_all(dir, ec);
-      return Fail("recovery after an injected env fault failed: " +
-                  re.status().ToString());
-    }
-    std::string recovered = storage::SerializeCatalog(re->catalog());
-    std::filesystem::remove_all(dir, ec);
-    if (recovered != pre && recovered != post) {
-      return Fail("recovery after an injected env fault landed on neither "
-                  "the pre- nor the post-state of the interrupted op");
-    }
-    if (op_ok && power_loss && recovered != post) {
-      return Fail("acknowledged op did not survive the power loss "
-                  "(durability violated)");
-    }
-    return AdoptRecovered(iop, *re, recovered, pre, post);
+    return RecoverAndAdopt(iop, dir, env, "an injected env fault", op_ok,
+                           power_loss, pre, post);
   }
 
   // Concurrent group commit: K threads each commit one projection view
@@ -878,7 +930,7 @@ testing::RandomSchemaOptions SchemaParams::ToOptions() const {
 std::string FormatTrace(const FuzzTrace& trace) {
   std::ostringstream out;
   out << "tyder-fuzz-trace v1\n";
-  if (!trace.scenario.empty()) out << "scenario " << trace.scenario << "\n";
+  if (trace.crc) out << "crc " << *trace.crc << "\n";
   out << "schema seed=" << trace.schema.seed << " types=" << trace.schema.types
       << " supers=" << trace.schema.supers << " attrs=" << trace.schema.attrs
       << " gfs=" << trace.schema.gfs << " mpg=" << trace.schema.methods_per_gf
@@ -920,10 +972,17 @@ Result<FuzzTrace> ParseTrace(std::string_view text) {
       std::istringstream fields(body);
       std::string tag;
       fields >> tag;
-      if (tag == "scenario") {
-        // Optional provenance line (traces lowered from scenario packs).
-        fields >> trace.scenario;
-        if (trace.scenario.empty()) return err("scenario line needs a name");
+      if (tag == "crc" && !trace.crc) {
+        std::string value, extra;
+        fields >> value >> extra;
+        uint32_t crc = 0;
+        auto [end, ec] =
+            std::from_chars(value.data(), value.data() + value.size(), crc);
+        if (value.empty() || ec != std::errc() ||
+            end != value.data() + value.size() || !extra.empty()) {
+          return err("crc line needs one unsigned 32-bit number");
+        }
+        trace.crc = crc;
         continue;
       }
       if (tag != "schema") return err("expected schema line");
@@ -964,44 +1023,6 @@ Result<FuzzTrace> ParseTrace(std::string_view text) {
   }
   if (state != 3) {
     return Status::ParseError("trace has no 'end' terminator");
-  }
-  return trace;
-}
-
-FuzzTrace LowerWorkload(const workload::Workload& workload, size_t max_ops) {
-  FuzzTrace trace;
-  trace.scenario = workload.spec.name;
-  trace.schema.seed = workload.spec.schema.seed;
-  trace.schema.types = workload.spec.schema.types;
-  trace.schema.supers = workload.spec.schema.supers;
-  trace.schema.attrs = workload.spec.schema.attrs;
-  trace.schema.gfs = workload.spec.schema.gfs;
-  trace.schema.methods_per_gf = workload.spec.schema.methods_per_gf;
-  trace.schema.stmts = workload.spec.schema.stmts;
-  trace.schema.mutators = workload.spec.schema.mutators;
-  for (const workload::WorkloadStep& step : workload.steps) {
-    if (max_ops != 0 && trace.ops.size() >= max_ops) break;
-    FuzzOp op;
-    op.a = step.a;
-    op.b = step.b;
-    op.c = step.c;
-    switch (step.op) {
-      case workload::ScenarioOp::kProject:    op.kind = OpKind::kDerive; break;
-      case workload::ScenarioOp::kDrop:       op.kind = OpKind::kDrop; break;
-      case workload::ScenarioOp::kCollapse:   op.kind = OpKind::kCollapse; break;
-      case workload::ScenarioOp::kNewType:    op.kind = OpKind::kNewType; break;
-      case workload::ScenarioOp::kNewAttr:    op.kind = OpKind::kNewAttr; break;
-      case workload::ScenarioOp::kNewEdge:    op.kind = OpKind::kNewEdge; break;
-      case workload::ScenarioOp::kCrash:      op.kind = OpKind::kCrash; break;
-      // Generalization has no fuzz op yet; every read flavor lowers onto the
-      // full differential sweep, the strictest available check.
-      case workload::ScenarioOp::kGeneralize:
-      case workload::ScenarioOp::kSubtype:
-      case workload::ScenarioOp::kDispatch:
-      case workload::ScenarioOp::kViews:
-      case workload::ScenarioOp::kPing:       op.kind = OpKind::kQuery; break;
-    }
-    trace.ops.push_back(op);
   }
   return trace;
 }
@@ -1083,6 +1104,13 @@ RunResult RunTrace(const FuzzTrace& trace) {
     TYDER_COUNT("fuzz.ops");
   }
   result.failing_step = trace.ops.size();
+  result.final_crc = runner.FinalCrc();
+  if (trace.crc && *trace.crc != result.final_crc) {
+    result.status = Fail("fuzz: final catalog CRC32C is " +
+                         std::to_string(result.final_crc) +
+                         ", the trace's crc line records " +
+                         std::to_string(*trace.crc));
+  }
   return result;
 }
 
@@ -1092,8 +1120,9 @@ FuzzTrace ShrinkTrace(const FuzzTrace& trace, int max_runs) {
     ++runs;
     return !RunTrace(t).status.ok();
   };
-  if (!fails(trace)) return trace;
   FuzzTrace current = trace;
+  current.crc.reset();
+  if (!fails(current)) return trace;
   size_t chunk = std::max<size_t>(1, current.ops.size() / 2);
   while (runs < max_runs) {
     bool removed_any = false;

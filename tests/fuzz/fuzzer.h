@@ -1,12 +1,14 @@
 // Operation-sequence fuzzer for the optimized engine (ISSUE 5 tentpole).
 //
 // A *trace* is a seeded random schema recipe plus a list of operations —
-// DeriveProjection / Collapse / DropView (revert) / differential query /
-// schema mutations / snapshot Save & Load / fault-injected crash-recover
-// and env-I/O-fault round trips. RunTrace drives the trace against a real Catalog and, in
-// lockstep, a deliberately-naive in-memory model that tracks nothing but
-// type names, direct-supertype names, local attribute names, and each
-// view's projected attribute set. After every step it asserts:
+// DeriveProjection / DefineGeneralizationView / Collapse / DropView (revert)
+// / differential query / schema mutations / snapshot Save & Load /
+// fault-injected crash-recover and env-I/O-fault round trips, optionally
+// followed by a power loss. RunTrace drives the trace against a real
+// Catalog and, in lockstep, a deliberately-naive in-memory model that
+// tracks nothing but type names, direct-supertype names, local attribute
+// names, and each view's projected attribute set. After every step it
+// asserts:
 //
 //   engine == oracle   exhaustive IsSubtype and cumulative-state sweeps
 //                      against oracle/reference.h (plus the full dispatch
@@ -16,6 +18,10 @@
 //                      from-first-principles recomputation, and
 //   all-or-nothing     any refused operation leaves the catalog serializing
 //                      byte-identically to its pre-call snapshot.
+//
+// A trace may also record the CRC32C of the catalog it must end on (the
+// `crc` line), which makes a replay deterministic down to the byte: the
+// scenario traces in the corpus carry one.
 //
 // Operations carry raw integer payloads that are interpreted modulo the
 // *current* candidate lists at execution time, so a trace stays meaningful
@@ -29,6 +35,7 @@
 #define TYDER_TESTS_FUZZ_FUZZER_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -36,7 +43,6 @@
 #include "common/result.h"
 #include "common/status.h"
 #include "testing/random_schema.h"
-#include "workload/generate.h"
 
 namespace tyder::fuzz {
 
@@ -50,8 +56,10 @@ enum class OpKind {
   kNewEdge,   // AddSupertype between tracked types (cycle prediction too)
   kSave,      // snapshot the catalog + model to the trace-local buffer
   kLoad,      // restore catalog + model from the buffer (no-op before save)
-  kCrash,     // fault-injected mutation on an ephemeral DurableCatalog in a
-              // temp dir; recovery must land byte-identical to pre or post
+  kCrash,     // failpoint-interrupted mutation on an ephemeral DurableCatalog
+              // in a temp dir, optionally followed by a simulated power loss;
+              // recovery must land byte-identical to pre or post, with an
+              // acknowledged op surviving the power loss
   kEnvFault,  // FaultyEnv-injected I/O error (EIO / ENOSPC / short write /
               // fsync failure) on an ephemeral DurableCatalog, optionally
               // followed by a simulated power loss; the instance must be
@@ -63,6 +71,8 @@ enum class OpKind {
               // acknowledged commit is always durable, an unacknowledged
               // one is never visible, and recovery lands on a subset of
               // the attempted batch that contains every acknowledged op
+  kGeneralize,  // define a generalization view over two tracked types: the
+                // projection of the first onto the attributes both carry
 };
 
 struct FuzzOp {
@@ -89,25 +99,16 @@ struct SchemaParams {
 struct FuzzTrace {
   SchemaParams schema;
   std::vector<FuzzOp> ops;
-  // Optional provenance tag: the scenario pack this trace was lowered from
-  // (see LowerWorkload). Empty for generated/shrunk traces.
-  std::string scenario;
+  // CRC32C of the serialized catalog after the last op. When set, RunTrace
+  // fails unless the replay ends on exactly that catalog.
+  std::optional<uint32_t> crc;
 };
 
 // Text form (tyder-fuzz-trace v1): one line per op, '#' comments, `end`
-// terminator, plus an optional `scenario <name>` provenance line between the
-// header and the schema line. FormatTrace ∘ ParseTrace is the identity on
-// valid traces.
+// terminator, plus an optional `crc <u32>` line between the header and the
+// schema line. FormatTrace ∘ ParseTrace is the identity on valid traces.
 std::string FormatTrace(const FuzzTrace& trace);
 Result<FuzzTrace> ParseTrace(std::string_view text);
-
-// Lowers a generated macro-workload (src/workload) onto fuzz ops so scenario
-// traffic runs under the full model+oracle lockstep harness: project→derive,
-// drop/collapse/newtype/newattr/newedge map 1:1, every query flavor becomes
-// the kQuery differential sweep, and crash steps become kCrash. At most
-// `max_ops` steps are taken (0 = all); payloads carry over verbatim and are
-// re-resolved against the harness's candidate lists.
-FuzzTrace LowerWorkload(const workload::Workload& workload, size_t max_ops);
 
 struct FuzzProfile {
   SchemaParams schema;  // per-trace seed is drawn on top of this recipe
@@ -125,13 +126,15 @@ struct RunResult {
   Status status;            // OK, or the first divergence/violation
   size_t failing_step = 0;  // op index the failure surfaced at (== ops run)
   size_t ops_executed = 0;
+  uint32_t final_crc = 0;   // the catalog's CRC32C after a clean last op
 };
 
 RunResult RunTrace(const FuzzTrace& trace);
 
 // ddmin-style minimizer: repeatedly deletes op chunks while RunTrace keeps
-// failing; at most `max_runs` re-executions. Returns `trace` unchanged if it
-// does not fail to begin with.
+// failing; at most `max_runs` re-executions. A shorter trace ends on another
+// catalog, so the shrunk trace carries no `crc` line. Returns `trace`
+// unchanged if it does not fail without its `crc` line.
 FuzzTrace ShrinkTrace(const FuzzTrace& trace, int max_runs = 400);
 
 struct CampaignOptions {

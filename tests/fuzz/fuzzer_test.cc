@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "fuzz/fuzzer.h"
 #include "obs/metrics.h"
 
@@ -11,13 +14,28 @@ namespace tyder::fuzz {
 namespace {
 
 TEST(FuzzTraceTest, FormatParseRoundTrip) {
+  std::vector<FuzzTrace> traces;
   for (uint64_t seed = 1; seed <= 20; ++seed) {
-    FuzzTrace trace = GenerateTrace(seed);
+    traces.push_back(GenerateTrace(seed));
+  }
+  // A scenario-style trace: a crc line and a generalize op.
+  FuzzTrace scenario = GenerateTrace(21);
+  scenario.crc = 4294967295u;
+  scenario.ops.push_back({OpKind::kGeneralize, 1, 2, 3});
+  traces.push_back(scenario);
+  for (const FuzzTrace& trace : traces) {
     std::string text = FormatTrace(trace);
     Result<FuzzTrace> parsed = ParseTrace(text);
     ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-    EXPECT_EQ(FormatTrace(*parsed), text) << "seed " << seed;
+    EXPECT_EQ(FormatTrace(*parsed), text);
   }
+  std::string text = FormatTrace(scenario);
+  EXPECT_NE(text.find("\ncrc 4294967295\n"), std::string::npos) << text;
+  EXPECT_NE(text.find("\ngeneralize 1 2 3\n"), std::string::npos) << text;
+  Result<FuzzTrace> parsed = ParseTrace(text);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed->crc, scenario.crc);
+  EXPECT_EQ(parsed->ops.back().kind, OpKind::kGeneralize);
 }
 
 TEST(FuzzTraceTest, ParseSkipsCommentsAndBlankLines) {
@@ -53,6 +71,11 @@ TEST(FuzzTraceTest, ParseRejectsGarbage) {
           .ok());
   EXPECT_FALSE(
       ParseTrace("tyder-fuzz-trace v1\nschema bogus=1\nend\n").ok());
+  EXPECT_FALSE(
+      ParseTrace("tyder-fuzz-trace v1\ncrc abc\nschema seed=1\nend\n").ok());
+  EXPECT_FALSE(
+      ParseTrace("tyder-fuzz-trace v1\ncrc 4294967296\nschema seed=1\nend\n")
+          .ok());
 }
 
 TEST(FuzzTraceTest, GenerationIsDeterministic) {

@@ -8,6 +8,7 @@
 #include <thread>
 
 #include "net/client.h"
+#include "net/protocol.h"
 
 namespace tyder::net {
 
@@ -188,35 +189,49 @@ void SaboteurThread(const ChaosOptions& options, const std::atomic<bool>* done,
 }
 
 // Post-campaign settle: disarm everything, heal any residual degradation.
-// Retries absorb a still-armed fault eating one of our own round trips.
+// A still-armed fault may eat our own round trips (an armed net.accept drops
+// the admin connection itself), so every step retries, pausing between
+// attempts, until one shared deadline; a failure names the last answer.
 Status Settle(const ChaosOptions& options) {
   std::optional<Client> admin;
   std::vector<std::string> points = options.fault_points;
   if (options.storage_faults) points.push_back("storage.env.sync");
+  const Clock::time_point deadline = Clock::now() + std::chrono::seconds(60);
+  Result<Response> last = Status::Internal("no round trip attempted");
+  auto call = [&](const std::string& command,
+                  const std::vector<std::string>& args, uint64_t deadline_ms) {
+    if (EnsureConnected(admin, options.port, nullptr)) {
+      last = admin->Call(command, args, deadline_ms);
+    } else {
+      last = Status::Internal("cannot reconnect to server");
+    }
+    return last.ok() && last->ok();
+  };
+  auto give_up = [&](const std::string& what) {
+    return Status::Internal(
+        "chaos settle: " + what + "; last answer: " +
+        (last.ok() ? EncodeResponse(*last) : last.status().ToString()));
+  };
 
   for (const std::string& point : points) {
-    bool disarmed = false;
-    for (int attempt = 0; attempt < 50 && !disarmed; ++attempt) {
-      if (!EnsureConnected(admin, options.port, nullptr))
-        return Status::Internal("chaos settle: cannot reconnect to server");
-      auto answer = admin->Call("fault", {point, "0"}, 1'000);
-      disarmed = answer.ok() && answer->ok();
+    while (!call("fault", {point, "0"}, 1'000)) {
+      if (Clock::now() >= deadline) {
+        return give_up("cannot disarm '" + point + "'");
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
     }
-    if (!disarmed)
-      return Status::Internal("chaos settle: cannot disarm '" + point + "'");
   }
 
-  for (int attempt = 0; attempt < 100; ++attempt) {
-    if (!EnsureConnected(admin, options.port, nullptr))
-      return Status::Internal("chaos settle: cannot reconnect to server");
-    auto health = admin->Call("health", {}, 1'000);
-    if (health.ok() && health->ok() && !health->body.empty()) {
-      if (health->body[0] == "status ok") return Status::OK();
+  while (true) {
+    if (call("health", {}, 1'000) && !last->body.empty()) {
+      if (last->body[0] == "status ok") return Status::OK();
       (void)admin->Call("reopen", {}, 5'000);
+    }
+    if (Clock::now() >= deadline) {
+      return give_up("store stuck degraded after reopens");
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
   }
-  return Status::Internal("chaos settle: store stuck degraded after reopens");
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -101,15 +102,44 @@ TEST_F(ServerTest, MutationsAndQueriesShareOneCatalog) {
   ASSERT_TRUE(dispatch.ok() && dispatch->ok()) << dispatch.status();
   EXPECT_EQ(dispatch->message(), "income");
 
+  // A generalization of two served types projects the first onto the
+  // attributes both carry (here SSN and date_of_birth), so the first and its
+  // subtypes sit under it, and `age`, which reads only date_of_birth,
+  // dispatches on it.
+  auto general = client.Call("generalize", {"GenView", "EmpView", "Person"});
+  ASSERT_TRUE(general.ok()) << general.status();
+  ASSERT_TRUE(general->ok()) << general->message();
+  EXPECT_EQ(general->message(), "defined GenView");
+  for (const char* sub : {"EmpView", "Employee"}) {
+    auto above = client.Call("query", {"subtype", sub, "GenView"});
+    ASSERT_TRUE(above.ok() && above->ok()) << above.status();
+    EXPECT_EQ(above->message(), "true") << sub;
+  }
+  auto on_view = client.Call("query", {"dispatch", "age", "GenView"});
+  ASSERT_TRUE(on_view.ok() && on_view->ok()) << on_view.status();
+  EXPECT_EQ(on_view->message(), "age");
+
+  auto collapsed = client.Call("collapse");
+  ASSERT_TRUE(collapsed.ok()) << collapsed.status();
+  ASSERT_TRUE(collapsed->ok()) << collapsed->message();
+  EXPECT_EQ(collapsed->message().substr(0, 10), "collapsed ");
+
   auto oracle = client.Call("verify");
   ASSERT_TRUE(oracle.ok()) << oracle.status();
   EXPECT_TRUE(oracle->ok()) << oracle->message();
+
+  auto health = client.Call("health");
+  ASSERT_TRUE(health.ok() && health->ok()) << health.status();
+  ASSERT_FALSE(health->body.empty());
+  EXPECT_EQ(health->body[0], "status ok");
+  EXPECT_NE(std::find(health->body.begin(), health->body.end(), "views 2"),
+            health->body.end());
 
   // A second client sees the same published epoch.
   Client other = MustConnect();
   auto again = other.Call("query", {"views"});
   ASSERT_TRUE(again.ok() && again->ok());
-  EXPECT_EQ(again->body, views->body);
+  EXPECT_EQ(again->body, (std::vector<std::string>{"EmpView", "GenView"}));
 }
 
 TEST_F(ServerTest, ErrorsAreAnswersNotDisconnects) {

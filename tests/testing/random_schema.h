@@ -1,7 +1,7 @@
-// Forwarder: the seeded random-schema generator moved to
-// src/workload/random_schema.h so the macro-workload harness (src/workload,
-// linked into libtyder) can drive it without depending on test code. Test
-// sources keep their historical tyder::testing spelling via these aliases.
+// Forwarder: the seeded random-schema generator lives in
+// src/workload/random_schema.h, inside libtyder, so repobench's evolve
+// workload can use it without depending on test code. Test sources keep
+// their historical tyder::testing spelling via these aliases.
 
 #ifndef TYDER_TESTS_TESTING_RANDOM_SCHEMA_H_
 #define TYDER_TESTS_TESTING_RANDOM_SCHEMA_H_
