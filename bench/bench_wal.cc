@@ -188,8 +188,7 @@ void BM_Recovery(benchmark::State& state) {
       return;
     }
     for (int i = 0; i < records / 2; ++i) {
-      // Dropped views leave tombstone types that keep owning the name, so
-      // every round needs a fresh one.
+      // A fresh name per round keeps the records of every length distinct.
       std::string name = "V" + std::to_string(i);
       if (!db->DefineProjectionView(name, "Employee", {"SSN"}).ok() ||
           !db->DropView(name).ok()) {

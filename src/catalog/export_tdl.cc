@@ -1,9 +1,9 @@
 #include "catalog/export_tdl.h"
 
 #include <charconv>
-#include <map>
 #include <sstream>
 
+#include "catalog/op_codec.h"
 #include "common/string_util.h"
 #include "mir/expr.h"
 
@@ -11,88 +11,32 @@ namespace tyder {
 
 namespace {
 
-// Follows surrogate_source links to the original (non-surrogate) type.
-TypeId UnwindSurrogate(const TypeGraph& graph, TypeId t) {
-  while (graph.type(t).is_surrogate() &&
-         graph.type(t).surrogate_source() != kInvalidType) {
-    t = graph.type(t).surrogate_source();
-  }
-  return t;
-}
-
-// The pre-derivation signature/body of each method: the old_sig/old_body of
-// the *first* derivation that rewrote it, else the current one.
-struct BaseMethod {
-  Signature sig;
-  ExprPtr body;
-  bool ever_rewritten = false;
-};
-
-std::map<MethodId, BaseMethod> BaseMethods(const Schema& schema,
-                                           const Catalog* catalog) {
-  std::map<MethodId, BaseMethod> base;
-  for (MethodId m = 0; m < schema.NumMethods(); ++m) {
-    base[m] = BaseMethod{schema.method(m).sig, schema.method(m).body, false};
-  }
-  if (catalog != nullptr) {
-    // Views in definition order; keep the earliest old state per method.
-    for (const ViewDef& def : catalog->views()) {
-      for (const MethodRewrite& rw : def.derivation.rewrites) {
-        BaseMethod& entry = base[rw.method];
-        if (!entry.ever_rewritten) {
-          entry.sig = rw.old_sig;
-          entry.body = rw.old_body != nullptr ? rw.old_body
-                                              : schema.method(rw.method).body;
-          entry.ever_rewritten = true;
-        }
-      }
-    }
-  }
-  return base;
-}
-
 class TdlEmitter {
  public:
-  TdlEmitter(const Schema& schema, const Catalog* catalog)
-      : schema_(schema), catalog_(catalog) {}
+  explicit TdlEmitter(const Schema& schema) : schema_(schema) {}
 
   Result<std::string> Run() {
     TYDER_RETURN_IF_ERROR(CheckExportable());
-    base_methods_ = BaseMethods(schema_, catalog_);
     EmitTypes();
     TYDER_RETURN_IF_ERROR(EmitAccessorsDirective());
     EmitGenerics();
     TYDER_RETURN_IF_ERROR(EmitMethods());
-    EmitViews();
     return out_.str();
   }
 
  private:
   bool IsBaseType(TypeId t) const {
     const Type& type = schema_.types().type(t);
-    return type.kind() == TypeKind::kUser && !type.detached() &&
-           !type.is_surrogate();
+    return type.kind() == TypeKind::kUser && !type.detached();
   }
 
   Status CheckExportable() {
     for (TypeId t = 0; t < schema_.types().NumTypes(); ++t) {
       const Type& type = schema_.types().type(t);
-      if (!type.is_surrogate() || type.detached()) continue;
-      // Surrogates are fine only when a catalog view accounts for them: the
-      // view statements replay the derivation on load.
-      bool accounted = false;
-      if (catalog_ != nullptr) {
-        for (const ViewDef& def : catalog_->views()) {
-          if (def.derived == t) accounted = true;
-          for (TypeId s : def.derivation.surrogates.created) {
-            if (s == t) accounted = true;
-          }
-        }
-      }
-      if (!accounted) {
+      if (type.is_surrogate() && !type.detached()) {
         return Status::FailedPrecondition(
             "schema contains surrogate '" + schema_.types().TypeName(t) +
-            "' not traceable to a catalog view; TDL cannot express it");
+            "'; TDL cannot express it");
       }
     }
     return Status::OK();
@@ -105,16 +49,15 @@ class TdlEmitter {
       out_ << "type " << graph.TypeName(t);
       bool first = true;
       for (TypeId s : graph.type(t).supertypes()) {
-        if (!IsBaseType(s)) continue;  // skip surrogate links
+        if (!IsBaseType(s)) continue;  // builtin roots are implicit
         out_ << (first ? " : " : ", ") << graph.TypeName(s);
         first = false;
       }
       out_ << " {";
-      // Local attributes, including ones currently re-homed onto surrogates.
       bool any = false;
       for (AttrId a = 0; a < graph.NumAttributes(); ++a) {
         const AttributeDef& attr = graph.attribute(a);
-        if (UnwindSurrogate(graph, attr.owner) != t) continue;
+        if (attr.owner != t) continue;
         out_ << "\n  " << attr.name.view() << ": "
              << graph.TypeName(attr.value_type) << ";";
         any = true;
@@ -123,37 +66,21 @@ class TdlEmitter {
     }
   }
 
-  // True when `m` is a standard owner-homed accessor of its attribute under
-  // its base signature.
+  // True when `m` is a standard owner-homed accessor of its attribute.
   bool IsStandardAccessor(MethodId m) const {
     const Method& method = schema_.method(m);
     if (method.kind == MethodKind::kGeneral) return false;
-    const BaseMethod& base = base_methods_.at(m);
-    TypeId owner =
-        UnwindSurrogate(schema_.types(), schema_.types().attribute(method.attr).owner);
-    std::string attr_name = schema_.types().attribute(method.attr).name.str();
-    std::string gf_name = schema_.gf(method.gf).name.str();
-    std::string expect =
-        (method.kind == MethodKind::kReader ? "get_" : "set_") + attr_name;
-    return gf_name == expect && !base.sig.params.empty() &&
-           UnwindSurrogate(schema_.types(), base.sig.params[0]) == owner;
-  }
-
-  // View-created alias accessors: accessor methods never rewritten whose
-  // formal is a surrogate — they reappear when the view statement replays.
-  bool IsViewAlias(MethodId m) const {
-    const Method& method = schema_.method(m);
-    if (method.kind == MethodKind::kGeneral) return false;
-    return !base_methods_.at(m).ever_rewritten &&
-           !method.sig.params.empty() &&
-           schema_.types().type(method.sig.params[0]).is_surrogate();
+    const AttributeDef& attr = schema_.types().attribute(method.attr);
+    std::string prefix = method.kind == MethodKind::kReader ? "get_" : "set_";
+    std::string expect = prefix + attr.name.str();
+    return schema_.gf(method.gf).name.str() == expect &&
+           !method.sig.params.empty() && method.sig.params[0] == attr.owner;
   }
 
   Status EmitAccessorsDirective() {
     bool any_accessor = false;
     for (MethodId m = 0; m < schema_.NumMethods(); ++m) {
       if (schema_.method(m).kind == MethodKind::kGeneral) continue;
-      if (IsViewAlias(m)) continue;
       if (!IsStandardAccessor(m)) {
         return Status::FailedPrecondition(
             "accessor '" + schema_.method(m).label.str() +
@@ -198,7 +125,6 @@ class TdlEmitter {
     for (MethodId m = 0; m < schema_.NumMethods(); ++m) {
       const Method& method = schema_.method(m);
       if (method.kind != MethodKind::kGeneral) continue;
-      const BaseMethod& base = base_methods_.at(m);
       std::string label = method.label.str();
       std::string gf_name = schema_.gf(method.gf).name.str();
       if (!IsIdentifier(label)) {
@@ -208,19 +134,17 @@ class TdlEmitter {
       out_ << "method " << label;
       if (label != gf_name) out_ << " for " << gf_name;
       out_ << " (";
-      for (size_t i = 0; i < base.sig.params.size(); ++i) {
+      for (size_t i = 0; i < method.sig.params.size(); ++i) {
         if (i > 0) out_ << ", ";
         out_ << ParamName(method, i) << ": "
-             << schema_.types().TypeName(
-                    UnwindSurrogate(schema_.types(), base.sig.params[i]));
+             << schema_.types().TypeName(method.sig.params[i]);
       }
       out_ << ")";
-      TypeId result = UnwindSurrogate(schema_.types(), base.sig.result);
-      if (result != schema_.builtins().void_type) {
-        out_ << " -> " << schema_.types().TypeName(result);
+      if (method.sig.result != schema_.builtins().void_type) {
+        out_ << " -> " << schema_.types().TypeName(method.sig.result);
       }
       out_ << " ";
-      TYDER_RETURN_IF_ERROR(EmitBlock(method, base.body, 0));
+      TYDER_RETURN_IF_ERROR(EmitBlock(method, method.body, 0));
       out_ << "\n";
     }
     return Status::OK();
@@ -245,9 +169,7 @@ class TdlEmitter {
     const Expr& e = *node;
     switch (e.kind) {
       case ExprKind::kDecl:
-        out_ << e.var.view() << ": "
-             << schema_.types().TypeName(
-                    UnwindSurrogate(schema_.types(), e.decl_type));
+        out_ << e.var.view() << ": " << schema_.types().TypeName(e.decl_type);
         if (!e.children.empty()) {
           out_ << " = ";
           TYDER_RETURN_IF_ERROR(EmitExpr(method, e.children[0]));
@@ -349,56 +271,66 @@ class TdlEmitter {
     }
   }
 
-  void EmitViews() {
-    if (catalog_ == nullptr) return;
-    const TypeGraph& graph = schema_.types();
-    for (const ViewDef& def : catalog_->views()) {
-      out_ << "view " << def.name << " = ";
-      switch (def.op) {
-        case ViewOpKind::kProjection: {
-          out_ << "project " << graph.TypeName(def.source) << " on (";
-          for (size_t i = 0; i < def.attributes.size(); ++i) {
-            if (i > 0) out_ << ", ";
-            out_ << graph.attribute(def.attributes[i]).name.view();
-          }
-          out_ << ")";
-          break;
-        }
-        case ViewOpKind::kSelection:
-          out_ << "select " << graph.TypeName(def.source);
-          break;
-        case ViewOpKind::kGeneralization:
-          out_ << "generalize " << graph.TypeName(def.source) << ", "
-               << graph.TypeName(def.source2);
-          break;
-        case ViewOpKind::kRename: {
-          out_ << "rename " << graph.TypeName(def.source) << " (";
-          for (size_t i = 0; i < def.renames.size(); ++i) {
-            if (i > 0) out_ << ", ";
-            out_ << def.renames[i].attribute << " as " << def.renames[i].alias;
-          }
-          out_ << ")";
-          break;
-        }
-      }
-      out_ << ";\n";
-    }
-  }
-
   const Schema& schema_;
-  const Catalog* catalog_;
-  std::map<MethodId, BaseMethod> base_methods_;
   std::ostringstream out_;
 };
+
+// One `view` statement for `def`, with names from the folded schema.
+void EmitView(const TypeGraph& graph, const ViewDef& def,
+              std::ostringstream& out) {
+  out << "view " << def.name << " = ";
+  switch (def.op) {
+    case ViewOpKind::kProjection: {
+      out << "project " << graph.TypeName(def.source) << " on (";
+      for (size_t i = 0; i < def.attributes.size(); ++i) {
+        if (i > 0) out << ", ";
+        out << graph.attribute(def.attributes[i]).name.view();
+      }
+      out << ")";
+      break;
+    }
+    case ViewOpKind::kSelection:
+      out << "select " << graph.TypeName(def.source);
+      break;
+    case ViewOpKind::kGeneralization:
+      out << "generalize " << graph.TypeName(def.source) << ", "
+          << graph.TypeName(def.source2);
+      break;
+    case ViewOpKind::kRename: {
+      out << "rename " << graph.TypeName(def.source) << " (";
+      for (size_t i = 0; i < def.renames.size(); ++i) {
+        if (i > 0) out << ", ";
+        out << def.renames[i].attribute << " as " << def.renames[i].alias;
+      }
+      out << ")";
+      break;
+    }
+  }
+  out << ";\n";
+}
 
 }  // namespace
 
 Result<std::string> ExportTdl(const Schema& schema) {
-  return TdlEmitter(schema, nullptr).Run();
+  return TdlEmitter(schema).Run();
 }
 
 Result<std::string> ExportTdl(const Catalog& catalog) {
-  return TdlEmitter(catalog.schema(), &catalog).Run();
+  for (const CatalogLogEntry& entry : catalog.log()) {
+    if (entry.view.empty() && entry.op != kCollapseOpText) {
+      return Status::FailedPrecondition(
+          "catalog op '" + entry.op +
+          "' edits the schema after a view; TDL declares every type before "
+          "its views, so it cannot express it");
+    }
+  }
+  TYDER_ASSIGN_OR_RETURN(std::string tdl, ExportTdl(catalog.base()));
+  std::ostringstream out;
+  out << tdl;
+  for (const ViewDef& def : catalog.views()) {
+    EmitView(catalog.schema().types(), def, out);
+  }
+  return out.str();
 }
 
 }  // namespace tyder

@@ -23,8 +23,10 @@ namespace tyder {
 // Schema only (no view statements).
 Result<std::string> ExportTdl(const Schema& schema);
 
-// Schema + the catalog's view definitions, emitted in definition order so a
-// reload replays the derivations.
+// The catalog's base schema plus one `view` statement per view in its op
+// log, in definition order, so a reload replays the derivations. Collapse
+// entries emit nothing (a collapse changes no state or dispatch); a base
+// edit logged after a view is refused with FailedPrecondition.
 Result<std::string> ExportTdl(const Catalog& catalog);
 
 }  // namespace tyder

@@ -20,7 +20,7 @@ const char* const kFaultPointNames[] = {
     "augment.before",            // Augment entry (schema already factored)
     "augment.mid",               // inside Augmenter recursion, partial edges
     "catalog.define.after_derive",  // view derived but not yet recorded
-    "catalog.drop.mid",          // view reverted/detached but not yet erased
+    "catalog.drop.mid",          // drop's re-fold built, not yet installed
     "chaos.skip_closure_invalidation",  // behavior perturbation, not a
                                  // failure: AddSupertype keeps the stale
                                  // subtype closure (tests/fuzz known-bad run)
@@ -37,8 +37,6 @@ const char* const kFaultPointNames[] = {
     "net.read.eintr",            // one synthetic EINTR on the read path
     "net.read.short",            // peer closes mid-frame
     "net.write.response",        // response write fails AFTER the commit
-    "revert.before",             // RevertDerivation after preconditions
-    "revert.mid",                // signatures restored, attributes not yet
     "storage.compact.after_rename",   // snapshot live, WAL not yet truncated
     "storage.compact.before_rename",  // temp snapshot written, not renamed
     "storage.env.append",        // write(2) fails, nothing persisted

@@ -27,7 +27,6 @@ Result<std::vector<MethodRewrite>> FactorMethods(
     rw.method = m;
     rw.old_sig = method.sig;
     rw.new_sig = method.sig;
-    rw.old_body = method.body;
 
     // Signature: Tᵢ → T̃ᵢ for every formal with an X surrogate. Track which
     // parameter positions were converted — they seed the body retyping.

@@ -27,9 +27,6 @@ struct MethodRewrite {
   Signature old_sig;
   Signature new_sig;
   bool body_changed = false;
-  // The pre-rewrite body (shared, immutable); lets RevertDerivation restore
-  // the method exactly.
-  ExprPtr old_body;
 };
 
 // Rewrites every method in `applicable_methods` in place (signature + body).

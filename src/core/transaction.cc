@@ -1,6 +1,7 @@
 #include "core/transaction.h"
 
 #include <chrono>
+#include <utility>
 
 #include "obs/obs.h"
 
@@ -8,21 +9,37 @@ namespace tyder {
 
 namespace {
 
-// Per-thread transaction nesting depth. A plain thread_local: transactions
-// are strictly scope-nested, so a stack is implicit in the
-// SchemaTransaction objects themselves.
-thread_local int g_txn_depth = 0;
+// The innermost live transaction on this thread. A plain thread_local:
+// transactions are strictly scope-nested, so the stack is the chain of
+// `outer_` links.
+thread_local SchemaTransaction* g_innermost = nullptr;
 
 }  // namespace
 
 SchemaTransaction::SchemaTransaction(Schema& schema)
-    : schema_(schema), snapshot_(schema), depth_(++g_txn_depth) {
+    : SchemaTransaction(schema, nullptr) {}
+
+SchemaTransaction::SchemaTransaction(Schema& schema,
+                                     std::shared_ptr<const Schema> pre_state)
+    : schema_(schema),
+      snapshot_(std::move(pre_state)),
+      outer_(g_innermost),
+      depth_(outer_ == nullptr ? 1 : outer_->depth_ + 1) {
+  if (snapshot_ == nullptr) {
+    // Every mutation bumps the version, so an unchanged version means the
+    // enclosing transaction's snapshot is exactly today's schema.
+    bool unchanged = outer_ != nullptr && &outer_->schema_ == &schema &&
+                     outer_->snapshot_->version() == schema.version();
+    snapshot_ = unchanged ? outer_->snapshot_
+                          : std::make_shared<const Schema>(schema);
+  }
+  g_innermost = this;
   TYDER_COUNT("transaction.begins");
 }
 
 SchemaTransaction::~SchemaTransaction() {
   if (!committed_) Rollback();
-  --g_txn_depth;
+  g_innermost = outer_;
 }
 
 Status SchemaTransaction::Commit() {
@@ -31,12 +48,17 @@ Status SchemaTransaction::Commit() {
   return Status::OK();
 }
 
+std::shared_ptr<const Schema> SchemaTransaction::ReleaseSnapshot() {
+  committed_ = true;
+  return snapshot_;
+}
+
 void SchemaTransaction::Rollback() {
   TYDER_COUNT("projection.rollbacks");
   TYDER_TIMED("projection.rollback_ns");
   TYDER_RECORD_V(kOp, "txn.rollback", depth_);
   obs::Narrate(nullptr, "transaction rollback");
-  schema_ = snapshot_;
+  schema_ = *snapshot_;
 }
 
 }  // namespace tyder

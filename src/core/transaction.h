@@ -9,14 +9,18 @@
 // on an error path restores the pre-call schema byte-for-byte (the rolled
 // back schema serializes identically to the snapshot).
 //
-// Used by DeriveProjection, CollapseEmptySurrogates, RevertDerivation, and
-// every Catalog view operation; each documents the strong guarantee in its
-// header. Rollbacks are observable through the `projection.rollbacks` counter
-// and the `projection.rollback_ns` histogram (docs/ROBUSTNESS.md).
+// Used by DeriveProjection, CollapseEmptySurrogates and every Catalog view
+// operation; each documents the strong guarantee in its header. A Catalog
+// view definition keeps its transaction's snapshot as the view's checkpoint
+// (ReleaseSnapshot), so dropping the view later costs no extra copy.
+// Rollbacks are observable through the `projection.rollbacks` counter and
+// the `projection.rollback_ns` histogram (docs/ROBUSTNESS.md).
 //
 // Transactions nest naturally: an outer transaction (e.g. a Catalog view
 // definition) simply restores over whatever an inner one (DeriveProjection)
-// already rolled back.
+// already rolled back. An inner transaction that begins before anything
+// changed under the outer one shares the outer snapshot instead of copying
+// the schema again.
 //
 // Durability (src/storage/): a SchemaTransaction is purely in-memory — it
 // commits the writer TIP. The durable catalog sequences the committed op's
@@ -33,6 +37,8 @@
 #ifndef TYDER_CORE_TRANSACTION_H_
 #define TYDER_CORE_TRANSACTION_H_
 
+#include <memory>
+
 #include "common/status.h"
 #include "methods/schema.h"
 
@@ -41,6 +47,9 @@ namespace tyder {
 class SchemaTransaction {
  public:
   explicit SchemaTransaction(Schema& schema);
+  // Takes `pre_state`, which the caller knows equals `schema`, as the
+  // snapshot instead of copying `schema`.
+  SchemaTransaction(Schema& schema, std::shared_ptr<const Schema> pre_state);
   // Rolls back unless Commit() succeeded.
   ~SchemaTransaction();
 
@@ -56,18 +65,22 @@ class SchemaTransaction {
   // The pre-transaction state. Stable for the transaction's lifetime — the
   // verifier compares the mutated schema against exactly this snapshot, so
   // the pipeline does not need a second copy.
-  const Schema& snapshot() const { return snapshot_; }
+  const Schema& snapshot() const { return *snapshot_; }
+
+  // Commits and hands the pre-transaction state over, shared (no copy).
+  std::shared_ptr<const Schema> ReleaseSnapshot();
 
  private:
   void Rollback();
 
   Schema& schema_;
-  Schema snapshot_;
-  // 1 for the outermost live transaction on this thread, 2 for one nested
-  // inside it, ... An inner transaction (e.g. DeriveProjection inside a
-  // Catalog view definition) is an implementation detail of an operation
-  // that commits — and becomes durable — as a whole.
-  int depth_;
+  std::shared_ptr<const Schema> snapshot_;
+  // The enclosing live transaction on this thread, if any. An inner
+  // transaction (e.g. DeriveProjection inside a Catalog view definition) is
+  // an implementation detail of an operation that commits — and becomes
+  // durable — as a whole.
+  SchemaTransaction* outer_;
+  int depth_;  // 1 for the outermost, 2 for one nested inside it, ...
   bool committed_ = false;
 };
 

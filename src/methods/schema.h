@@ -11,7 +11,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/analysis_cache.h"
 #include "common/result.h"
 #include "common/status.h"
 #include "methods/dispatch_index.h"
@@ -85,21 +84,18 @@ class Schema {
   // --- derived-structure caching --------------------------------------------
 
   // Monotone mutation counter covering both the method/gf tables (local
-  // bumps) and the type hierarchy (TypeGraph::version). Every derived
-  // structure — the dispatch index, the relevant-call cache — keys its
-  // validity on this value, so any schema mutation invalidates them all on
-  // the next read.
+  // bumps) and the type hierarchy (TypeGraph::version). The dispatch index
+  // keys its validity on this value, so any schema mutation invalidates it
+  // on the next read; the catalog's op log records it to detect edits made
+  // outside the log.
   uint64_t version() const { return version_ + types_.version(); }
 
-  // Where the lazily built derived structures live. They are owned here so
-  // they share the schema's lifetime and copy semantics (copies and rollback
-  // targets start cold); their content types live with the code that builds
-  // them (methods/dispatch_index.cc, mir/call_graph.cc).
+  // Where the lazily built dispatch index lives. It is owned here so it
+  // shares the schema's lifetime and copy semantics (copies and rollback
+  // targets start cold); its content type lives with the code that builds
+  // it (methods/dispatch_index.cc).
   DispatchIndexSlot& dispatch_index_slot() const {
     return dispatch_index_slot_;
-  }
-  AnalysisCacheSlot& relevant_calls_slot() const {
-    return relevant_calls_slot_;
   }
 
  private:
@@ -115,7 +111,6 @@ class Schema {
 
   uint64_t version_ = 0;
   mutable DispatchIndexSlot dispatch_index_slot_;
-  mutable AnalysisCacheSlot relevant_calls_slot_;
 };
 
 }  // namespace tyder

@@ -1,39 +1,15 @@
 #include "mir/call_graph.h"
 
 #include <algorithm>
-#include <memory>
-#include <mutex>
-#include <shared_mutex>
-#include <unordered_map>
 
 #include "mir/dataflow.h"
 #include "mir/type_check.h"
-#include "obs/obs.h"
 
 namespace tyder {
 
-namespace {
-
-// Relevant-call extraction is a pure function of (schema, method, source) —
-// it runs the type checker and the def-use flow analysis over the method
-// body — and IsApplicable re-derives it for every projection over the same
-// schema. Memoize per (method, source), keyed on the schema version through
-// the analysis-cache slot so any mutation (signature rewrite, body retyping,
-// hierarchy edit) drops the whole map. Shared-locked for the parallel batch
-// driver's concurrent analyzers.
-struct RelevantCallCache {
-  std::shared_mutex mu;
-  std::unordered_map<uint64_t,
-                     std::shared_ptr<const std::vector<RelevantCall>>>
-      map;
-};
-
-uint64_t CacheKey(MethodId m, TypeId source) {
-  return (static_cast<uint64_t>(m) << 32) | source;
-}
-
-Result<std::vector<RelevantCall>> ExtractRelevantCallsUncached(
-    const Schema& schema, MethodId m, TypeId source) {
+Result<std::vector<RelevantCall>> ExtractRelevantCalls(const Schema& schema,
+                                                       MethodId m,
+                                                       TypeId source) {
   std::vector<RelevantCall> out;
   const Method& method = schema.method(m);
   if (method.body == nullptr) return out;
@@ -75,36 +51,6 @@ Result<std::vector<RelevantCall>> ExtractRelevantCallsUncached(
   });
   if (!failure.ok()) return failure;
   return out;
-}
-
-}  // namespace
-
-Result<std::vector<RelevantCall>> ExtractRelevantCalls(const Schema& schema,
-                                                       MethodId m,
-                                                       TypeId source) {
-  std::shared_ptr<RelevantCallCache> cache =
-      schema.relevant_calls_slot().GetOrBuild<RelevantCallCache>(
-          schema.version(), [] { return std::make_shared<RelevantCallCache>(); });
-  uint64_t key = CacheKey(m, source);
-  {
-    std::shared_lock<std::shared_mutex> lock(cache->mu);
-    auto it = cache->map.find(key);
-    if (it != cache->map.end()) {
-      TYDER_COUNT("callgraph.cache_hit");
-      return *it->second;
-    }
-  }
-  TYDER_COUNT("callgraph.cache_miss");
-  TYDER_ASSIGN_OR_RETURN(std::vector<RelevantCall> calls,
-                         ExtractRelevantCallsUncached(schema, m, source));
-  // Failures are not cached: they surface schema bugs the caller reports.
-  auto shared =
-      std::make_shared<const std::vector<RelevantCall>>(std::move(calls));
-  {
-    std::unique_lock<std::shared_mutex> lock(cache->mu);
-    cache->map.emplace(key, shared);
-  }
-  return *shared;
 }
 
 std::vector<GfId> CalledGenericFunctions(const Method& m) {

@@ -24,10 +24,6 @@ bool Type::RemoveSupertype(TypeId t) {
   return true;
 }
 
-void Type::SortLocalAttributes() {
-  std::sort(local_attrs_.begin(), local_attrs_.end());
-}
-
 bool Type::RemoveLocalAttribute(AttrId a) {
   auto it = std::find(local_attrs_.begin(), local_attrs_.end(), a);
   if (it == local_attrs_.end()) return false;

@@ -47,10 +47,6 @@ class Type {
   const std::vector<AttrId>& local_attributes() const { return local_attrs_; }
   void AddLocalAttribute(AttrId a) { local_attrs_.push_back(a); }
   bool RemoveLocalAttribute(AttrId a);
-  // Restores declaration order (AttrIds are assigned in declaration order,
-  // so ascending id order == declaration order). Used by RevertDerivation
-  // after moving attributes back.
-  void SortLocalAttributes();
 
   // Source type this surrogate was spun off from (kInvalidType otherwise).
   TypeId surrogate_source() const { return surrogate_source_; }

@@ -167,6 +167,9 @@ Result<AttrId> TypeGraph::DeclareAttribute(TypeId owner, std::string_view name,
   attrs_.push_back(AttributeDef{sym, value_type, owner});
   attr_index_.emplace(sym, id);
   types_[owner].AddLocalAttribute(id);
+  // No edge changed, but the version must still move: the catalog's op log
+  // detects edits made outside it by a break in the version chain.
+  Invalidate();
   return id;
 }
 

@@ -76,9 +76,9 @@ class TypeGraph {
   Result<AttrId> FindAttribute(std::string_view name) const;
   std::string TypeName(TypeId t) const { return types_[t].name().str(); }
 
-  // Mutation counter. Any (possible) change to the node/edge structure bumps
-  // it; derived caches (the closure below, Schema's dispatch index, the
-  // relevant-call cache) key their validity on it.
+  // Mutation counter. Any (possible) change to the node/edge structure or
+  // the attributes bumps it; derived caches (the closure below, Schema's
+  // dispatch index) key their validity on it.
   uint64_t version() const { return version_; }
 
   // --- relations -----------------------------------------------------------

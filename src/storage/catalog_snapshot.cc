@@ -1,39 +1,19 @@
 #include "storage/catalog_snapshot.h"
 
 #include <charconv>
-#include <sstream>
 #include <string>
 #include <utility>
-#include <vector>
 
+#include "catalog/op_codec.h"
 #include "catalog/serialize.h"
-#include "common/string_util.h"
+#include "storage/crc32c.h"
 
 namespace tyder::storage {
 
 namespace {
 
-constexpr std::string_view kHeader = "tyder-db v1";
-
-// --- encoding helpers -------------------------------------------------------
-
-void AppendIdList(std::ostringstream& out, const std::vector<uint32_t>& ids) {
-  if (ids.empty()) {
-    out << '-';
-    return;
-  }
-  for (size_t i = 0; i < ids.size(); ++i) {
-    if (i > 0) out << ',';
-    out << ids[i];
-  }
-}
-
-void AppendSignature(std::ostringstream& out, const Signature& sig) {
-  AppendIdList(out, sig.params);
-  out << ' ' << sig.result;
-}
-
-// --- decoding helpers -------------------------------------------------------
+constexpr std::string_view kHeader = "tyder-db v2";
+constexpr std::string_view kV1Header = "tyder-db v1";
 
 // Line-by-line cursor that can also take a byte-exact slice (the embedded
 // schema section).
@@ -59,142 +39,49 @@ Status Corrupt(const Cursor& cursor, const std::string& what) {
                             std::to_string(cursor.line_no) + ": " + what);
 }
 
-bool ParseU64(std::string_view token, uint64_t& out) {
+template <typename T>
+bool ParseUnsigned(std::string_view token, T& out) {
   auto [ptr, ec] = std::from_chars(token.begin(), token.end(), out);
-  return ec == std::errc() && ptr == token.end();
+  return !token.empty() && ec == std::errc() && ptr == token.end();
 }
 
-bool ParseU32(std::string_view token, uint32_t& out) {
-  uint64_t wide = 0;
-  if (!ParseU64(token, wide) || wide > UINT32_MAX) return false;
-  out = static_cast<uint32_t>(wide);
-  return true;
-}
-
-bool ParseIdList(std::string_view token, std::vector<uint32_t>& out) {
-  out.clear();
-  if (token == "-") return true;
-  for (const std::string& part : SplitAndTrim(token, ',')) {
-    uint32_t id = 0;
-    if (!ParseU32(part, id)) return false;
-    out.push_back(id);
-  }
-  return true;
-}
-
-// One already-split snapshot line: tag + the remaining whitespace-separated
-// tokens.
-struct Line {
-  std::string_view raw;
-  std::string tag;
-  std::vector<std::string> tokens;
-};
-
-Line SplitLine(std::string_view raw) {
-  Line line;
-  line.raw = raw;
-  std::istringstream in{std::string(raw)};
-  in >> line.tag;
-  std::string token;
-  while (in >> token) line.tokens.push_back(token);
-  return line;
+uint32_t FoldCrc(const Catalog& catalog) {
+  return Crc32c(SerializeSchema(catalog.schema()));
 }
 
 }  // namespace
 
 std::string SerializeCatalog(const Catalog& catalog) {
-  std::string schema_text = SerializeSchema(catalog.schema());
-  std::ostringstream out;
-  out << kHeader << '\n';
-  out << "schema " << schema_text.size() << '\n' << schema_text << '\n';
-  for (const ViewDef& view : catalog.views()) {
-    out << "view " << view.name << ' ' << static_cast<int>(view.op) << ' '
-        << view.derived << ' ' << view.source << ' ' << view.source2 << '\n';
-    out << "va ";
-    AppendIdList(out, view.attributes);
-    out << '\n';
-    out << "vn ";
-    if (view.renames.empty()) {
-      out << '-';
-    } else {
-      for (size_t i = 0; i < view.renames.size(); ++i) {
-        if (i > 0) out << ',';
-        out << view.renames[i].attribute << '=' << view.renames[i].alias;
-      }
-    }
-    out << '\n';
-    const DerivationResult& d = view.derivation;
-    out << "dd " << d.derived << ' ' << d.spec.source << ' '
-        << (d.spec.view_name.empty() ? "-" : d.spec.view_name) << '\n';
-    out << "dattrs ";
-    AppendIdList(out, d.spec.attributes);
-    out << '\n';
-    out << "do ";
-    if (d.surrogates.of.empty()) {
-      out << '-';
-    } else {
-      bool first = true;
-      for (const auto& [src, surr] : d.surrogates.of) {
-        if (!first) out << ',';
-        first = false;
-        out << src << ':' << surr;
-      }
-    }
-    out << '\n';
-    out << "dc ";
-    AppendIdList(out, d.surrogates.created);
-    out << '\n';
-    out << "de ";
-    if (d.surrogates.edge_rank.empty()) {
-      out << '-';
-    } else {
-      bool first = true;
-      for (const auto& [edge, rank] : d.surrogates.edge_rank) {
-        if (!first) out << ',';
-        first = false;
-        out << edge.first << ':' << edge.second << ':' << rank;
-      }
-    }
-    out << '\n';
-    out << "dg ";
-    AppendIdList(out, std::vector<uint32_t>(d.surrogates.augment_created.begin(),
-                                            d.surrogates.augment_created.end()));
-    out << '\n';
-    out << "dz ";
-    AppendIdList(out,
-                 std::vector<uint32_t>(d.augment_z.begin(), d.augment_z.end()));
-    out << '\n';
-    out << "da ";
-    AppendIdList(out, d.applicability.applicable);
-    out << '\n';
-    out << "dn ";
-    AppendIdList(out, d.applicability.not_applicable);
-    out << '\n';
-    for (const MethodRewrite& rw : d.rewrites) {
-      out << "rw " << rw.method << ' ' << (rw.body_changed ? 1 : 0) << ' ';
-      AppendSignature(out, rw.old_sig);
-      out << ' ';
-      AppendSignature(out, rw.new_sig);
-      out << '\n';
-      if (rw.body_changed && rw.old_body != nullptr) {
-        out << "rwb " << SerializeBody(catalog.schema(), rw.old_body) << '\n';
-      }
-    }
-    out << "end\n";
+  std::string base = SerializeSchema(catalog.base());
+  std::string out;
+  out += kHeader;
+  out += "\nschema " + std::to_string(base.size()) + '\n' + base + '\n';
+  for (const CatalogLogEntry& entry : catalog.log()) {
+    out += "op " + entry.op + '\n';
   }
-  return out.str();
+  out += "fold " + std::to_string(FoldCrc(catalog)) + '\n';
+  return out;
 }
 
 Result<Catalog> DeserializeCatalog(std::string_view text) {
   Cursor cursor{text};
-  if (cursor.NextLine() != kHeader) {
+  std::string_view header = cursor.NextLine();
+  if (header == kV1Header) {
+    return Corrupt(
+        cursor,
+        "snapshot format v1 is no longer read: it stores view derivation "
+        "records, which the op log replaced. To move the data, open the "
+        "database with the previous build, run `tyderc --db <dir> --export`, "
+        "and seed a new database from that TDL");
+  }
+  if (header != kHeader) {
     return Corrupt(cursor, "expected header '" + std::string(kHeader) + "'");
   }
 
-  Line schema_line = SplitLine(cursor.NextLine());
+  std::string_view schema_line = cursor.NextLine();
   uint64_t schema_bytes = 0;
-  if (schema_line.tag != "schema" || schema_line.tokens.size() != 1 ||
-      !ParseU64(schema_line.tokens[0], schema_bytes)) {
+  if (schema_line.substr(0, 7) != "schema " ||
+      !ParseUnsigned(schema_line.substr(7), schema_bytes)) {
     return Corrupt(cursor, "expected 'schema <nbytes>'");
   }
   if (cursor.pos + schema_bytes + 1 > text.size() ||
@@ -208,150 +95,39 @@ Result<Catalog> DeserializeCatalog(std::string_view text) {
   for (char c : schema_text) {
     if (c == '\n') ++cursor.line_no;
   }
-  Schema schema;
-  {
-    Result<Schema> parsed = DeserializeSchema(schema_text);
-    if (!parsed.ok()) {
-      return Status::ParseError("catalog snapshot: embedded schema: " +
-                                parsed.status().message());
-    }
-    schema = std::move(parsed).value();
+  Result<Schema> base = DeserializeSchema(schema_text);
+  if (!base.ok()) {
+    return Status::ParseError("catalog snapshot: embedded schema: " +
+                              base.status().message());
   }
 
-  std::vector<ViewDef> views;
+  Catalog catalog(std::move(base).value());
   while (!cursor.AtEnd()) {
-    Line header = SplitLine(cursor.NextLine());
-    if (header.tag.empty()) continue;  // tolerate a trailing blank line
-    if (header.tag != "view" || header.tokens.size() != 5) {
-      return Corrupt(cursor, "expected 'view <name> <op> <derived> <source> "
-                             "<source2>', got '" +
-                                 std::string(header.raw) + "'");
-    }
-    ViewDef view;
-    view.name = header.tokens[0];
-    uint32_t op = 0;
-    if (!ParseU32(header.tokens[1], op) ||
-        op > static_cast<uint32_t>(ViewOpKind::kRename) ||
-        !ParseU32(header.tokens[2], view.derived) ||
-        !ParseU32(header.tokens[3], view.source) ||
-        !ParseU32(header.tokens[4], view.source2)) {
-      return Corrupt(cursor, "malformed view header '" +
-                                 std::string(header.raw) + "'");
-    }
-    view.op = static_cast<ViewOpKind>(op);
-    DerivationResult& d = view.derivation;
-
-    bool done = false;
-    MethodRewrite* last_rewrite = nullptr;
-    while (!done) {
-      if (cursor.AtEnd()) {
-        return Corrupt(cursor, "view '" + view.name +
-                                   "' is missing its 'end' line");
+    std::string_view line = cursor.NextLine();
+    if (line.substr(0, 3) == "op ") {
+      Status applied = ApplyCatalogOp(catalog, line.substr(3));
+      if (!applied.ok()) {
+        return Corrupt(cursor, "op '" + std::string(line.substr(3)) +
+                                   "' does not re-apply: " + applied.message());
       }
-      Line line = SplitLine(cursor.NextLine());
-      bool ok = true;
-      if (line.tag == "end") {
-        done = true;
-      } else if (line.tag == "va" && line.tokens.size() == 1) {
-        ok = ParseIdList(line.tokens[0], view.attributes);
-      } else if (line.tag == "vn" && line.tokens.size() == 1) {
-        if (line.tokens[0] != "-") {
-          for (const std::string& pair : SplitAndTrim(line.tokens[0], ',')) {
-            size_t eq = pair.find('=');
-            if (eq == std::string::npos) {
-              ok = false;
-              break;
-            }
-            view.renames.push_back(
-                AttributeRename{pair.substr(0, eq), pair.substr(eq + 1)});
-          }
-        }
-      } else if (line.tag == "dd" && line.tokens.size() == 3) {
-        ok = ParseU32(line.tokens[0], d.derived) &&
-             ParseU32(line.tokens[1], d.spec.source);
-        if (line.tokens[2] != "-") d.spec.view_name = line.tokens[2];
-      } else if (line.tag == "dattrs" && line.tokens.size() == 1) {
-        ok = ParseIdList(line.tokens[0], d.spec.attributes);
-      } else if (line.tag == "do" && line.tokens.size() == 1) {
-        if (line.tokens[0] != "-") {
-          for (const std::string& pair : SplitAndTrim(line.tokens[0], ',')) {
-            size_t colon = pair.find(':');
-            uint32_t src = 0, surr = 0;
-            if (colon == std::string::npos ||
-                !ParseU32(std::string_view(pair).substr(0, colon), src) ||
-                !ParseU32(std::string_view(pair).substr(colon + 1), surr)) {
-              ok = false;
-              break;
-            }
-            d.surrogates.of[src] = surr;
-          }
-        }
-      } else if (line.tag == "dc" && line.tokens.size() == 1) {
-        ok = ParseIdList(line.tokens[0], d.surrogates.created);
-      } else if (line.tag == "de" && line.tokens.size() == 1) {
-        if (line.tokens[0] != "-") {
-          for (const std::string& entry : SplitAndTrim(line.tokens[0], ',')) {
-            std::vector<std::string> parts = SplitAndTrim(entry, ':');
-            uint32_t a = 0, b = 0, rank = 0;
-            if (parts.size() != 3 || !ParseU32(parts[0], a) ||
-                !ParseU32(parts[1], b) || !ParseU32(parts[2], rank)) {
-              ok = false;
-              break;
-            }
-            d.surrogates.edge_rank[{a, b}] = static_cast<int>(rank);
-          }
-        }
-      } else if (line.tag == "dg" && line.tokens.size() == 1) {
-        std::vector<uint32_t> ids;
-        ok = ParseIdList(line.tokens[0], ids);
-        d.surrogates.augment_created.insert(ids.begin(), ids.end());
-      } else if (line.tag == "dz" && line.tokens.size() == 1) {
-        std::vector<uint32_t> ids;
-        ok = ParseIdList(line.tokens[0], ids);
-        d.augment_z.insert(ids.begin(), ids.end());
-      } else if (line.tag == "da" && line.tokens.size() == 1) {
-        ok = ParseIdList(line.tokens[0], d.applicability.applicable);
-      } else if (line.tag == "dn" && line.tokens.size() == 1) {
-        ok = ParseIdList(line.tokens[0], d.applicability.not_applicable);
-      } else if (line.tag == "rw" && line.tokens.size() == 6) {
-        MethodRewrite rw;
-        uint32_t body_changed = 0;
-        ok = ParseU32(line.tokens[0], rw.method) &&
-             ParseU32(line.tokens[1], body_changed) && body_changed <= 1 &&
-             ParseIdList(line.tokens[2], rw.old_sig.params) &&
-             ParseU32(line.tokens[3], rw.old_sig.result) &&
-             ParseIdList(line.tokens[4], rw.new_sig.params) &&
-             ParseU32(line.tokens[5], rw.new_sig.result);
-        rw.body_changed = body_changed == 1;
-        if (ok) {
-          d.rewrites.push_back(std::move(rw));
-          last_rewrite = &d.rewrites.back();
-        }
-      } else if (line.tag == "rwb") {
-        if (last_rewrite == nullptr) {
-          return Corrupt(cursor, "'rwb' line without a preceding 'rw'");
-        }
-        // Everything after the tag, verbatim (s-expressions contain spaces).
-        std::string_view expr = line.raw.substr(4);
-        Result<ExprPtr> body = DeserializeBody(schema, expr);
-        if (!body.ok()) {
-          return Corrupt(cursor, "bad rewrite body: " +
-                                     body.status().message());
-        }
-        last_rewrite->old_body = std::move(body).value();
-        last_rewrite = nullptr;
-      } else {
-        return Corrupt(cursor, "unknown view line '" + std::string(line.raw) +
-                                   "'");
-      }
-      if (!ok) {
-        return Corrupt(cursor, "malformed '" + line.tag + "' line '" +
-                                   std::string(line.raw) + "'");
-      }
+      continue;
     }
-    views.push_back(std::move(view));
+    uint32_t crc = 0;
+    if (line.substr(0, 5) != "fold " || !ParseUnsigned(line.substr(5), crc)) {
+      return Corrupt(cursor, "expected 'op <text>' or 'fold <crc32c>', got '" +
+                                 std::string(line) + "'");
+    }
+    if (crc != FoldCrc(catalog)) {
+      return Corrupt(cursor, "the ops re-fold to a schema with CRC32C " +
+                                 std::to_string(FoldCrc(catalog)) +
+                                 ", not the recorded " + std::to_string(crc));
+    }
+    if (!cursor.AtEnd() && !cursor.NextLine().empty()) {
+      return Corrupt(cursor, "unexpected line after 'fold'");
+    }
+    return catalog;
   }
-  return Catalog::Restore(std::move(schema), std::move(views));
+  return Corrupt(cursor, "missing the closing 'fold <crc32c>' line");
 }
 
 std::string SaveCatalogSnapshot(const Catalog& catalog) {

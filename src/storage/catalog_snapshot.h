@@ -1,35 +1,24 @@
 // Full-fidelity catalog snapshots: the payload the durable catalog frames in
 // the checksummed envelope of catalog/serialize.h.
 //
-// ExportTdl is deliberately NOT used here: a TDL round trip is lossy (detached
-// tombstone types vanish, generic-function id order can shift), so it cannot
-// honor the recovery contract that a reloaded catalog serializes
-// byte-identically to the one that was saved. This format instead embeds the
-// exact SerializeSchema text — whose ids are stable across a round trip —
-// followed by the view registry with each view's complete derivation record
-// (surrogates, rewrites with original signatures and bodies), so DropView and
-// Collapse keep working after recovery.
+// A catalog is a fold of its op log over a base schema (catalog/catalog.h),
+// so a snapshot stores exactly those two: the base as the exact
+// SerializeSchema text (whose ids are stable across a round trip), then one
+// line per log entry in op-text form (catalog/op_codec.h). Loading re-applies
+// the ops; the last line carries the CRC32C of the folded schema's
+// SerializeSchema text, so a re-fold that lands anywhere else is refused.
 //
-//   tyder-db v1
+//   tyder-db v2
 //   schema <nbytes>
-//   <SerializeSchema text, exactly nbytes>
-//   view <name> <op> <derived> <source> <source2>
-//   va <attr-ids|->            # ViewDef.attributes
-//   vn <attr=alias,...|->      # ViewDef.renames
-//   dd <derived> <spec.source> <spec.view_name|->
-//   dattrs <attr-ids|->        # spec.attributes
-//   do <src:surr,...|->        # surrogates.of
-//   dc <type-ids|->            # surrogates.created
-//   de <a:b:rank,...|->        # surrogates.edge_rank
-//   dg <type-ids|->            # surrogates.augment_created
-//   dz <type-ids|->            # augment_z
-//   da <method-ids|->          # applicability.applicable
-//   dn <method-ids|->          # applicability.not_applicable
-//   rw <method> <0|1> <old params|-> <old result> <new params|-> <new result>
-//   rwb <method> <s-expression>     # old body, rewrites with body_changed only
-//   end
+//   <SerializeSchema text of the base, exactly nbytes>
+//   op <op text>                # one per log entry, in order
+//   fold <crc32c>               # CRC32C of SerializeSchema(folded schema)
 //
-// Transient diagnostics (trace lines, trace events) are not persisted.
+// ExportTdl is deliberately NOT used for the base: a TDL round trip is lossy
+// (detached types vanish, generic-function id order can shift).
+//
+// v1 payloads (a folded schema plus per-view derivation records) are refused
+// with a ParseError that says how to move the data (see the .cc).
 
 #ifndef TYDER_STORAGE_CATALOG_SNAPSHOT_H_
 #define TYDER_STORAGE_CATALOG_SNAPSHOT_H_
@@ -43,12 +32,15 @@
 
 namespace tyder::storage {
 
-// Serializes the whole catalog (schema + view registry) as the text payload
-// above. Deterministic: equal catalogs produce equal bytes.
+// Serializes the whole catalog (base + op log + fold CRC) as the text
+// payload above. Deterministic: equal catalogs produce equal bytes, and the
+// fold line makes catalogs whose folded schemas differ serialize apart.
 std::string SerializeCatalog(const Catalog& catalog);
 
-// Inverse of SerializeCatalog. The result serializes byte-identically to the
-// input of the SerializeCatalog call that produced `text`.
+// Inverse of SerializeCatalog: loads the base and re-applies the ops.
+// ParseError when the text is malformed, an op does not re-apply, or the
+// fold's CRC differs. The result serializes byte-identically to the input
+// of the SerializeCatalog call that produced `text`.
 Result<Catalog> DeserializeCatalog(std::string_view text);
 
 // Catalog <-> checksummed snapshot envelope (serialize.h framing).

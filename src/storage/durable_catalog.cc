@@ -4,11 +4,10 @@
 #include <charconv>
 #include <chrono>
 #include <cstdio>
-#include <sstream>
 #include <utility>
 
+#include "catalog/op_codec.h"
 #include "common/failpoint.h"
-#include "common/string_util.h"
 #include "obs/obs.h"
 #include "storage/catalog_snapshot.h"
 
@@ -38,101 +37,7 @@ bool ParseSnapshotFileName(std::string_view name, uint64_t& lsn) {
   return ec == std::errc() && ptr == digits.end();
 }
 
-std::string JoinNames(const std::vector<std::string>& names) {
-  if (names.empty()) return "-";
-  std::string out;
-  for (size_t i = 0; i < names.size(); ++i) {
-    if (i > 0) out += ',';
-    out += names[i];
-  }
-  return out;
-}
-
-std::string VerifyFlag(const ProjectionOptions& options) {
-  return options.verify ? "verify" : "no-verify";
-}
-
 }  // namespace
-
-Status ReplayOp(Catalog& catalog, std::string_view payload) {
-  std::istringstream in{std::string(payload)};
-  std::string op;
-  in >> op;
-  auto bad = [&payload]() {
-    return Status::ParseError("malformed WAL op '" + std::string(payload) +
-                              "'");
-  };
-  auto parse_options = [&](ProjectionOptions& options) {
-    std::string flag;
-    in >> flag;
-    if (flag == "verify") {
-      options.verify = true;
-    } else if (flag == "no-verify") {
-      options.verify = false;
-    } else {
-      return false;
-    }
-    return true;
-  };
-
-  if (op == "project") {
-    std::string view, source, attrs;
-    in >> view >> source >> attrs;
-    ProjectionOptions options;
-    if (in.fail() || !parse_options(options)) return bad();
-    std::vector<std::string> names =
-        attrs == "-" ? std::vector<std::string>{} : SplitAndTrim(attrs, ',');
-    Result<const ViewDef*> r =
-        catalog.DefineProjectionView(view, source, names, options);
-    return r.ok() ? Status::OK() : r.status();
-  }
-  if (op == "select") {
-    std::string view, source;
-    in >> view >> source;
-    if (in.fail()) return bad();
-    Result<const ViewDef*> r = catalog.DefineSelectionView(view, source);
-    return r.ok() ? Status::OK() : r.status();
-  }
-  if (op == "generalize") {
-    std::string view, a, b;
-    in >> view >> a >> b;
-    ProjectionOptions options;
-    if (in.fail() || !parse_options(options)) return bad();
-    Result<const ViewDef*> r =
-        catalog.DefineGeneralizationView(view, a, b, options);
-    return r.ok() ? Status::OK() : r.status();
-  }
-  if (op == "rename") {
-    std::string view, source, pairs;
-    in >> view >> source >> pairs;
-    ProjectionOptions options;
-    if (in.fail() || !parse_options(options)) return bad();
-    std::vector<AttributeRename> renames;
-    if (pairs != "-") {
-      for (const std::string& pair : SplitAndTrim(pairs, ',')) {
-        size_t eq = pair.find('=');
-        if (eq == std::string::npos) return bad();
-        renames.push_back(
-            AttributeRename{pair.substr(0, eq), pair.substr(eq + 1)});
-      }
-    }
-    Result<const ViewDef*> r =
-        catalog.DefineRenameView(view, source, renames, options);
-    return r.ok() ? Status::OK() : r.status();
-  }
-  if (op == "drop") {
-    std::string view;
-    in >> view;
-    if (in.fail()) return bad();
-    return catalog.DropView(view);
-  }
-  if (op == "collapse") {
-    Result<CollapseReport> r = catalog.Collapse();
-    return r.ok() ? Status::OK() : r.status();
-  }
-  return Status::ParseError("unknown WAL op '" + op + "' in record '" +
-                            std::string(payload) + "'");
-}
 
 Result<DurableCatalog> DurableCatalog::Open(const std::string& dir, Env* env,
                                             GroupCommitOptions group) {
@@ -204,7 +109,7 @@ Result<DurableCatalog> DurableCatalog::Open(const std::string& dir, Env* env,
   // snapshot rename and its WAL truncate.)
   for (const WalRecord& record : wal->records) {
     if (record.lsn <= snapshot_lsn) continue;
-    Status replayed = ReplayOp(*db.catalog_, record.payload);
+    Status replayed = ApplyCatalogOp(*db.catalog_, record.payload);
     if (!replayed.ok()) {
       return Status::Internal(
           "WAL replay failed at lsn " + std::to_string(record.lsn) + " ('" +
@@ -400,62 +305,48 @@ Result<const ViewDef*> DurableCatalog::DefineProjectionView(
     std::string_view name, std::string_view source_type,
     const std::vector<std::string>& attribute_names,
     const ProjectionOptions& options) {
-  std::string payload = "project " + std::string(name) + ' ' +
-                        std::string(source_type) + ' ' +
-                        JoinNames(attribute_names) + ' ' + VerifyFlag(options);
-  return CommitLogged<Result<const ViewDef*>>(std::move(payload), [&] {
-    return catalog_->DefineProjectionView(name, source_type, attribute_names,
-                                          options);
-  });
+  return CommitLogged<Result<const ViewDef*>>(
+      ProjectOpText(name, source_type, attribute_names, options), [&] {
+        return catalog_->DefineProjectionView(name, source_type,
+                                              attribute_names, options);
+      });
 }
 
 Result<const ViewDef*> DurableCatalog::DefineSelectionView(
     std::string_view name, std::string_view source_type) {
-  std::string payload =
-      "select " + std::string(name) + ' ' + std::string(source_type);
-  return CommitLogged<Result<const ViewDef*>>(std::move(payload), [&] {
-    return catalog_->DefineSelectionView(name, source_type);
-  });
+  return CommitLogged<Result<const ViewDef*>>(
+      SelectOpText(name, source_type),
+      [&] { return catalog_->DefineSelectionView(name, source_type); });
 }
 
 Result<const ViewDef*> DurableCatalog::DefineGeneralizationView(
     std::string_view name, std::string_view type_a, std::string_view type_b,
     const ProjectionOptions& options) {
-  std::string payload = "generalize " + std::string(name) + ' ' +
-                        std::string(type_a) + ' ' + std::string(type_b) + ' ' +
-                        VerifyFlag(options);
-  return CommitLogged<Result<const ViewDef*>>(std::move(payload), [&] {
-    return catalog_->DefineGeneralizationView(name, type_a, type_b, options);
-  });
+  return CommitLogged<Result<const ViewDef*>>(
+      GeneralizeOpText(name, type_a, type_b, options), [&] {
+        return catalog_->DefineGeneralizationView(name, type_a, type_b,
+                                                  options);
+      });
 }
 
 Result<const ViewDef*> DurableCatalog::DefineRenameView(
     std::string_view name, std::string_view source_type,
     const std::vector<AttributeRename>& renames,
     const ProjectionOptions& options) {
-  std::string pairs;
-  for (size_t i = 0; i < renames.size(); ++i) {
-    if (i > 0) pairs += ',';
-    pairs += renames[i].attribute + '=' + renames[i].alias;
-  }
-  if (pairs.empty()) pairs = "-";
-  std::string payload = "rename " + std::string(name) + ' ' +
-                        std::string(source_type) + ' ' + pairs + ' ' +
-                        VerifyFlag(options);
-  return CommitLogged<Result<const ViewDef*>>(std::move(payload), [&] {
-    return catalog_->DefineRenameView(name, source_type, renames, options);
-  });
+  return CommitLogged<Result<const ViewDef*>>(
+      RenameOpText(name, source_type, renames, options), [&] {
+        return catalog_->DefineRenameView(name, source_type, renames, options);
+      });
 }
 
 Status DurableCatalog::DropView(std::string_view name) {
-  std::string payload = "drop " + std::string(name);
-  return CommitLogged<Status>(std::move(payload),
+  return CommitLogged<Status>(DropOpText(name),
                               [&] { return catalog_->DropView(name); });
 }
 
 Result<CollapseReport> DurableCatalog::Collapse() {
   return CommitLogged<Result<CollapseReport>>(
-      "collapse", [&] { return catalog_->Collapse(); });
+      std::string(kCollapseOpText), [&] { return catalog_->Collapse(); });
 }
 
 Status DurableCatalog::Seed(Catalog catalog) {

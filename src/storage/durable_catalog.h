@@ -27,9 +27,9 @@
 // observes the failure, the group stalls, and the first failing committer to
 // reacquire the writer lock rolls the tip back to the last durable epoch
 // (so records sequenced against never-durable state are never written).
-// Records carry the textual op (including the verify flag, since a
-// no-verify derivation might not replay under verify) and are replayed
-// deterministically at recovery. All I/O goes through a storage::Env
+// Records carry the op text (catalog/op_codec.h, including the verify flag,
+// since a no-verify derivation might not replay under verify) and are
+// replayed deterministically at recovery. All I/O goes through a storage::Env
 // (env.h), injectable per database for fault testing.
 //
 // Compaction. Compact() writes a fresh snapshot to a temp file, fsyncs it,
@@ -55,8 +55,10 @@
 // state validates cleanly.
 //
 // Recovery (in Open). The newest snapshot that decodes cleanly is loaded —
-// a corrupt newer snapshot falls back to an older one with a warning, and is
-// fatal only when no snapshot loads at all. The WAL is then validated and
+// its base schema read and its op log re-folded (storage/catalog_snapshot.h);
+// a corrupt newer snapshot, or one whose re-fold misses its recorded fold
+// CRC, falls back to an older one with a warning, and is fatal only when no
+// snapshot loads at all. The WAL is then validated and
 // replayed: a torn tail (crash mid-append) is truncated with a warning and
 // never an error; mid-log corruption is refused with a byte-offset
 // diagnostic. Recovery always yields a catalog byte-identical to the state
@@ -237,10 +239,6 @@ class DurableCatalog {
   RecoveryInfo recovery_;
   Status degraded_;  // non-OK == read-only degraded mode
 };
-
-// Applies one WAL payload to `catalog` without logging (recovery replay).
-// Exposed for tests.
-Status ReplayOp(Catalog& catalog, std::string_view payload);
 
 }  // namespace tyder::storage
 

@@ -162,9 +162,7 @@ TEST(EpochCatalogTest, UnpinningLastOfManyReadersFrees) {
 // publishes an epoch, old epochs reclaim once unpinned, and a pin taken
 // before a commit keeps serving the pre-commit state.
 TEST(EpochCatalogTest, DurableCatalogPublishesPerCommitEpochs) {
-  std::string dir =
-      (fs::temp_directory_path() / "tyder_epoch_durable_test").string();
-  fs::remove_all(dir);
+  std::string dir = testing::UniqueTestDir("tyder_epoch_durable_test");
   auto db = storage::DurableCatalog::Open(dir);
   ASSERT_TRUE(db.ok()) << db.status().ToString();
   ASSERT_TRUE(db->Seed(PersonEmployeeCatalog()).ok());

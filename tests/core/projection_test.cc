@@ -214,9 +214,10 @@ TEST(ProjectionTest, ExplicitVerifyReportCleanForSimpleExample) {
   EXPECT_TRUE(report.ok()) << report.ToString();
 }
 
-// DropView keeps a dropped view's type in the graph, detached (type ids stay
-// stable). The derivation pipeline refuses it as a source up front, leaving
-// the schema byte-identical, and a live source still derives afterwards.
+// Collapse keeps a spliced-out surrogate in the graph, detached (type ids
+// stay stable). The derivation pipeline refuses it as a source up front,
+// leaving the schema byte-identical, and a live source still derives
+// afterwards.
 TEST(ProjectionTest, DetachedSourceIsRefused) {
   auto fx = testing::BuildExample1();
   ASSERT_TRUE(fx.ok()) << fx.status();
@@ -229,8 +230,9 @@ TEST(ProjectionTest, DetachedSourceIsRefused) {
   auto view = catalog.DefineProjectionView(
       "PV", catalog.schema().types().TypeName(fx->a), attr_names);
   ASSERT_TRUE(view.ok()) << view.status();
-  TypeId stale = (*view)->derived;
-  ASSERT_TRUE(catalog.DropView("PV").ok());
+  // Deriving PV leaves F's surrogate empty and unreferenced (collapse_test).
+  TypeId stale = *catalog.schema().types().FindType("~F");
+  ASSERT_TRUE(catalog.Collapse().ok());
   ASSERT_TRUE(catalog.schema().types().type(stale).detached());
 
   Schema& schema = catalog.schema();

@@ -24,7 +24,6 @@
 #include "common/failpoint.h"
 #include "core/collapse.h"
 #include "core/projection.h"
-#include "core/revert.h"
 #include "methods/dispatch.h"
 #include "obs/metrics.h"
 #include "testing/fixtures.h"
@@ -230,24 +229,6 @@ TEST(AllOrNothingTest, EveryRegisteredFaultPointRollsBackCleanly) {
       return DeriveProjection(fx->schema, spec).status();
     };
     CheckFaultedOpRollsBack(covers(point), fx->schema, derive, derive);
-  }
-
-  // Revert points fire inside RevertDerivation, after a committed
-  // derivation on the paper's Employee example.
-  {
-    auto fx = testing::BuildPersonEmployee();
-    ASSERT_TRUE(fx.ok()) << fx.status();
-    auto derived = DeriveProjectionByName(
-        fx->schema, "Employee", {"SSN", "date_of_birth", "pay_rate"}, "V");
-    ASSERT_TRUE(derived.ok()) << derived.status();
-    Schema with_view = fx->schema;  // post-derivation state
-    for (const char* point : {"revert.before", "revert.mid"}) {
-      fx->schema = with_view;  // the previous retry reverted for real
-      CheckFaultedOpRollsBack(
-          covers(point), fx->schema,
-          [&] { return RevertDerivation(fx->schema, *derived); },
-          [&] { return RevertDerivation(fx->schema, *derived); });
-    }
   }
 
   // Collapse points: deriving ProjA on Example 1 leaves ~F as an empty,

@@ -1,9 +1,6 @@
 #include "fuzz/fuzzer.h"
 
-#include <unistd.h>
-
 #include <algorithm>
-#include <atomic>
 #include <charconv>
 #include <chrono>
 #include <filesystem>
@@ -24,6 +21,7 @@
 #include "storage/crc32c.h"
 #include "storage/durable_catalog.h"
 #include "storage/faulty_env.h"
+#include "testing/fixtures.h"
 
 namespace tyder::fuzz {
 
@@ -42,8 +40,8 @@ struct ModelType {
   // Derivation-implied edges: the projection operation makes the source a
   // subtype of the derived view (the view is more general), so a supertype
   // the view acquires later flows down into the source's cumulative state.
-  // Kept apart from `supers` because DropView reverts these, while a real
-  // edge pointing at a view must make the engine refuse the drop.
+  // Kept apart from `supers` because dropping the view removes these, while
+  // a real edge pointing at a view must make the engine refuse the drop.
   std::vector<std::string> view_supers;
   std::set<std::string> locals;  // locally declared attribute names
   bool is_view = false;
@@ -398,13 +396,56 @@ class TraceRunner {
     if (model_.view_order.empty()) return Status::OK();
     std::string vname = model_.view_order[op.a % model_.view_order.size()];
     std::string pre = Serialized();
+    Catalog before = catalog_;
     Status s = catalog_.DropView(vname);
-    if (!s.ok()) {
-      // Refusals (view observed by later derivations, subtypes, ...) are
-      // legitimate but must be invisible.
-      return CheckUnchanged(pre, "DropView(" + vname + ")");
-    }
+    TYDER_RETURN_IF_ERROR(CheckDropOutcome(before, catalog_, vname, s));
+    if (!s.ok()) return CheckUnchanged(pre, "DropView(" + vname + ")");
     return ApplyDropToModel(vname);
+  }
+
+  // DropView(vname) turned `before` into `after` with status `s`.
+  //
+  // A drop is refused only when an entry after the view in the op log does
+  // not re-apply without it, and the refusal must say so: FailedPrecondition
+  // naming a view that the log lists after `vname`, or a later op's text. It
+  // never names a surrogate.
+  //
+  // An accepted drop must not grow the type graph, unless it re-folds a
+  // later view: without the dropped view's surrogates to reuse, a later
+  // projection may factor into more types than it did the first time.
+  static Status CheckDropOutcome(const Catalog& before, const Catalog& after,
+                                 const std::string& vname, const Status& s) {
+    const std::vector<CatalogLogEntry>& log = before.log();
+    size_t at = 0;
+    while (at < log.size() && log[at].view != vname) ++at;
+    std::string what = "DropView(" + vname + ")";
+    if (s.ok()) {
+      bool refolds_a_view = false;
+      for (size_t i = at + 1; i < log.size(); ++i) {
+        refolds_a_view = refolds_a_view || !log[i].view.empty();
+      }
+      size_t pre_types = before.schema().types().NumTypes();
+      size_t post_types = after.schema().types().NumTypes();
+      if (!refolds_a_view && post_types > pre_types) {
+        return Fail(what + " grew the type graph from " +
+                    std::to_string(pre_types) + " to " +
+                    std::to_string(post_types) + " types");
+      }
+      return Status::OK();
+    }
+    what += " refusal '" + s.ToString() + "'";
+    if (s.code() != StatusCode::kFailedPrecondition) {
+      return Fail(what + " is not FailedPrecondition");
+    }
+    if (s.message().find('~') != std::string::npos) {
+      return Fail(what + " names a surrogate");
+    }
+    for (size_t i = at + 1; i < log.size(); ++i) {
+      std::string named = log[i].view.empty() ? "op '" + log[i].op + "'"
+                                              : "view '" + log[i].view + "'";
+      if (s.message().find(named) != std::string::npos) return Status::OK();
+    }
+    return Fail(what + " names no entry after the view in the op log");
   }
 
   Status DoQuery(const FuzzOp& op) {
@@ -430,18 +471,10 @@ class TraceRunner {
         supers.push_back(cand);
       }
     }
-    TypeGraph& graph = catalog_.schema().types();
-    Result<TypeId> tid = graph.DeclareType(tname, TypeKind::kUser);
+    Result<TypeId> tid = catalog_.DeclareType(tname, supers);
     if (!tid.ok()) {
       return Fail("DeclareType(" + tname + ") failed: " +
                   tid.status().ToString());
-    }
-    for (const std::string& super : supers) {
-      Status s = graph.AddSupertype(*tid, *graph.FindType(super));
-      if (!s.ok()) {
-        return Fail("AddSupertype(" + tname + ", " + super + ") failed: " +
-                    s.ToString());
-      }
     }
     ModelType mt;
     mt.supers = std::move(supers);
@@ -454,9 +487,7 @@ class TraceRunner {
     if (bases.empty()) return Status::OK();
     const std::string& owner = bases[op.a % bases.size()];
     std::string aname = "fza" + std::to_string(next_attr_++);
-    TypeGraph& graph = catalog_.schema().types();
-    Result<AttrId> r = graph.DeclareAttribute(
-        *graph.FindType(owner), aname, catalog_.schema().builtins().int_type);
+    Result<AttrId> r = catalog_.DeclareAttribute(owner, aname, "Int");
     if (!r.ok()) {
       return Fail("DeclareAttribute(" + owner + ", " + aname + ") failed: " +
                   r.status().ToString());
@@ -469,11 +500,8 @@ class TraceRunner {
     std::vector<std::string> names = model_.TrackedNames();
     const std::string& sub = names[op.a % names.size()];
     const std::string& super = names[op.b % names.size()];
-    TypeGraph& graph = catalog_.schema().types();
-    TypeId sub_id = *graph.FindType(sub);
-    TypeId super_id = *graph.FindType(super);
     std::string pre = Serialized();
-    Status s = graph.AddSupertype(sub_id, super_id);
+    Status s = catalog_.AddSupertype(sub, super);
     if (sub == super) {
       if (s.ok()) return Fail("self supertype edge on '" + sub + "' accepted");
       return CheckUnchanged(pre, "self-edge refusal");
@@ -499,7 +527,9 @@ class TraceRunner {
     }
     // A cycle the model cannot see must go through real engine reachability
     // (surrogate chains); cross-check with the naive oracle walk.
-    if (oracle::RefIsSubtype(graph, super_id, sub_id)) {
+    const TypeGraph& graph = catalog_.schema().types();
+    if (oracle::RefIsSubtype(graph, *graph.FindType(super),
+                             *graph.FindType(sub))) {
       return CheckUnchanged(pre, "surrogate-cycle refusal");
     }
     return Fail("AddSupertype(" + sub + ", " + super +
@@ -580,21 +610,19 @@ class TraceRunner {
   }
 
   // What the catalog serializes to if the interrupted op commits (== `pre`
-  // for compaction and for ops the engine refuses outright).
-  std::string PostState(const InterruptedOp& iop, const std::string& pre,
-                        bool* would_commit) {
-    *would_commit = iop.variant == 3;
+  // for compaction and for ops the engine refuses outright). A drop's
+  // outcome must pass CheckDropOutcome.
+  Result<std::string> PostState(const InterruptedOp& iop,
+                                const std::string& pre) {
     if (iop.variant == 3) return pre;  // compaction never changes the catalog
     Catalog copy = catalog_;
-    *would_commit = ApplyInterrupted(iop, copy);
-    return *would_commit ? storage::SerializeCatalog(copy) : pre;
-  }
-
-  std::filesystem::path EphemeralDir(const char* tag) {
-    static std::atomic<uint64_t> dir_counter{0};
-    return std::filesystem::temp_directory_path() /
-           ("tyder-fuzz-" + std::string(tag) + std::to_string(::getpid()) +
-            "-" + std::to_string(dir_counter.fetch_add(1)));
+    if (iop.variant == 1) {
+      Status dropped = copy.DropView(iop.vname);
+      TYDER_RETURN_IF_ERROR(
+          CheckDropOutcome(catalog_, copy, iop.vname, dropped));
+      return dropped.ok() ? storage::SerializeCatalog(copy) : pre;
+    }
+    return ApplyInterrupted(iop, copy) ? storage::SerializeCatalog(copy) : pre;
   }
 
   // The ephemeral store in `dir` has just "crashed" after `what` interrupted
@@ -656,10 +684,9 @@ class TraceRunner {
     bool power_loss = (op.b % 2) != 0;
 
     std::string pre = Serialized();
-    bool would_commit = false;
-    std::string post = PostState(iop, pre, &would_commit);
+    TYDER_ASSIGN_OR_RETURN(std::string post, PostState(iop, pre));
 
-    std::filesystem::path dir = EphemeralDir("");
+    std::filesystem::path dir = testing::UniqueTestDir("tyder-fuzz");
     storage::FaultyEnv env;  // injects nothing; records what was synced
     bool op_ok = false;
     {
@@ -708,10 +735,9 @@ class TraceRunner {
     bool power_loss = (op.b % 2) != 0;
 
     std::string pre = Serialized();
-    bool would_commit = false;
-    std::string post = PostState(iop, pre, &would_commit);
+    TYDER_ASSIGN_OR_RETURN(std::string post, PostState(iop, pre));
 
-    std::filesystem::path dir = EphemeralDir("env-");
+    std::filesystem::path dir = testing::UniqueTestDir("tyder-fuzz-env");
     storage::FaultyEnv env;
     bool op_ok = false;
     {
@@ -802,7 +828,7 @@ class TraceRunner {
     }
     if (plan.empty()) return Status::OK();
 
-    std::filesystem::path dir = EphemeralDir("con-");
+    std::filesystem::path dir = testing::UniqueTestDir("tyder-fuzz-con");
     storage::FaultyEnv env;
     std::vector<char> acked(plan.size(), 0);
     std::error_code ec;

@@ -1,8 +1,8 @@
 // Operation-sequence fuzzer for the optimized engine (ISSUE 5 tentpole).
 //
 // A *trace* is a seeded random schema recipe plus a list of operations —
-// DeriveProjection / DefineGeneralizationView / Collapse / DropView (revert)
-// / differential query / schema mutations / snapshot Save & Load /
+// DeriveProjection / DefineGeneralizationView / Collapse / DropView /
+// differential query / base edits / snapshot Save & Load /
 // fault-injected crash-recover and env-I/O-fault round trips, optionally
 // followed by a power loss. RunTrace drives the trace against a real
 // Catalog and, in lockstep, a deliberately-naive in-memory model that
@@ -49,11 +49,12 @@ namespace tyder::fuzz {
 enum class OpKind {
   kDerive,    // define a projection view over a tracked type
   kCollapse,  // Catalog::Collapse (empty-surrogate reduction)
-  kDrop,      // DropView — revert (projection) path
+  kDrop,      // DropView — checkpoint restore plus re-fold of later entries
   kQuery,     // full dispatch differential sweep (engine == oracle)
-  kNewType,   // declare a type subtyping 1–2 tracked types
-  kNewAttr,   // declare an attribute on a base type
-  kNewEdge,   // AddSupertype between tracked types (cycle prediction too)
+  kNewType,   // Catalog::DeclareType under 1–2 tracked types
+  kNewAttr,   // Catalog::DeclareAttribute on a base type
+  kNewEdge,   // Catalog::AddSupertype between tracked types (cycle
+              // prediction too)
   kSave,      // snapshot the catalog + model to the trace-local buffer
   kLoad,      // restore catalog + model from the buffer (no-op before save)
   kCrash,     // failpoint-interrupted mutation on an ephemeral DurableCatalog

@@ -101,7 +101,7 @@ TEST(OracleStressTest, ConcurrentQueriesDuringPrewarmInvalidateCycles) {
 // Epoch-churn variant: readers never coordinate with the writer at all.
 // Each reader loop pins the current schema epoch (DurableCatalog::
 // PinSnapshot) and queries the frozen snapshot while a writer commits
-// derive / collapse / revert cycles through the group-committed WAL,
+// derive / collapse / drop cycles through the group-committed WAL,
 // publishing a new epoch per commit. Every pinned snapshot must agree
 // with the naive oracle — a reader can observe any committed epoch, but
 // never a torn or half-mutated one. `age` gets a second method, so the
@@ -121,10 +121,8 @@ TEST(OracleStressTest, EpochChurnReadersMatchOracleOnPinnedSnapshots) {
   age_employee.body = mir::Seq({mir::Return(mir::IntLit(40))});
   ASSERT_TRUE(fx->schema.AddMethod(std::move(age_employee)).ok());
 
-  std::filesystem::path dir =
-      std::filesystem::temp_directory_path() / "tyder_epoch_churn_stress";
-  std::filesystem::remove_all(dir);
-  auto db = storage::DurableCatalog::Open(dir.string());
+  std::string dir = testing::UniqueTestDir("tyder_epoch_churn_stress");
+  auto db = storage::DurableCatalog::Open(dir);
   ASSERT_TRUE(db.ok()) << db.status().ToString();
   ASSERT_TRUE(db->Seed(Catalog(std::move(fx->schema))).ok());
 
@@ -177,7 +175,7 @@ TEST(OracleStressTest, EpochChurnReadersMatchOracleOnPinnedSnapshots) {
     });
   }
 
-  // The writer: each iteration is one derive / revert (+ periodic collapse)
+  // The writer: each iteration is one derive / drop (+ periodic collapse)
   // cycle, i.e. two to three group-committed epoch publishes.
   for (int cycle = 0; cycle < kWriterCycles && ok.load(); ++cycle) {
     std::string name = "Churn" + std::to_string(cycle);

@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <optional>
 #include <string>
 
@@ -18,13 +17,10 @@
 namespace tyder::net {
 namespace {
 
-namespace fs = std::filesystem;
-
 class ChaosTest : public ::testing::Test {
  protected:
   void Boot(const std::string& name) {
-    dir_ = (fs::temp_directory_path() / ("tyder_chaos_test_" + name)).string();
-    fs::remove_all(dir_);
+    dir_ = testing::UniqueTestDir("tyder_chaos_test_" + name);
     auto fx = testing::BuildPersonEmployee();
     ASSERT_TRUE(fx.ok()) << fx.status();
     auto opened = storage::DurableCatalog::Open(dir_);

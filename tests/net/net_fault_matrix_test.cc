@@ -9,7 +9,6 @@
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <optional>
 #include <string>
 
@@ -23,8 +22,6 @@
 namespace tyder::net {
 namespace {
 
-namespace fs = std::filesystem;
-
 constexpr const char* kNetPoints[] = {
     "net.accept",       "net.conn.drop_mid_request", "net.read.eintr",
     "net.read.short",   "net.write.response",
@@ -33,13 +30,10 @@ constexpr const char* kNetPoints[] = {
 class NetFaultMatrixTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    std::string dir = (fs::temp_directory_path() /
-                       ("tyder_net_fault_" + std::string(
-                            ::testing::UnitTest::GetInstance()
-                                ->current_test_info()
-                                ->name())))
-                          .string();
-    fs::remove_all(dir);
+    std::string dir = testing::UniqueTestDir(
+        "tyder_net_fault_" +
+        std::string(
+            ::testing::UnitTest::GetInstance()->current_test_info()->name()));
     auto fx = testing::BuildPersonEmployee();
     ASSERT_TRUE(fx.ok()) << fx.status();
     auto opened = storage::DurableCatalog::Open(dir);

@@ -11,7 +11,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <filesystem>
 #include <optional>
 #include <string>
 #include <thread>
@@ -25,7 +24,6 @@
 namespace tyder::net {
 namespace {
 
-namespace fs = std::filesystem;
 using std::chrono::milliseconds;
 using std::chrono::steady_clock;
 
@@ -35,8 +33,7 @@ class ServerTest : public ::testing::Test {
   void StartServer(const std::string& name, ServerOptions options = {}) {
     auto fx = testing::BuildPersonEmployee();
     ASSERT_TRUE(fx.ok()) << fx.status();
-    dir_ = (fs::temp_directory_path() / ("tyder_server_test_" + name)).string();
-    fs::remove_all(dir_);
+    dir_ = testing::UniqueTestDir("tyder_server_test_" + name);
     auto opened = storage::DurableCatalog::Open(dir_);
     ASSERT_TRUE(opened.ok()) << opened.status();
     db_.emplace(std::move(*opened));

@@ -36,10 +36,7 @@ namespace {
 namespace fs = std::filesystem;
 
 std::string FreshDir(const std::string& name) {
-  std::string dir =
-      (fs::temp_directory_path() / ("tyder_crash_test_" + name)).string();
-  fs::remove_all(dir);
-  return dir;
+  return testing::UniqueTestDir("tyder_crash_test_" + name);
 }
 
 Result<DurableCatalog> OpenSeeded(const std::string& dir) {

@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <filesystem>
 #include <map>
 #include <mutex>
 #include <string>
@@ -25,13 +24,8 @@
 namespace tyder::storage {
 namespace {
 
-namespace fs = std::filesystem;
-
 std::string FreshDir(const std::string& name) {
-  std::string dir =
-      (fs::temp_directory_path() / ("tyder_degraded_test_" + name)).string();
-  fs::remove_all(dir);
-  return dir;
+  return testing::UniqueTestDir("tyder_degraded_test_" + name);
 }
 
 Result<DurableCatalog> OpenSeeded(const std::string& dir, Env* env = nullptr) {

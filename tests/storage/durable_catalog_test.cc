@@ -25,10 +25,7 @@ namespace {
 namespace fs = std::filesystem;
 
 std::string FreshDir(const std::string& name) {
-  std::string dir =
-      (fs::temp_directory_path() / ("tyder_db_test_" + name)).string();
-  fs::remove_all(dir);
-  return dir;
+  return testing::UniqueTestDir("tyder_db_test_" + name);
 }
 
 Result<DurableCatalog> OpenSeeded(const std::string& dir) {
@@ -75,7 +72,7 @@ TEST(DurableCatalogTest, MutationsSurviveReopenByteIdentically) {
   EXPECT_EQ(reopened->recovery().replayed_records, 2u);
   EXPECT_TRUE(reopened->recovery().snapshot_loaded);  // the seed snapshot
   ASSERT_EQ(reopened->catalog().views().size(), 2u);
-  // The replayed derivation record is complete enough to revert: drop works.
+  // The recovered op log keeps the views' checkpoints: drop works.
   EXPECT_TRUE(reopened->DropView("EmployeeView").ok());
 }
 
@@ -90,7 +87,6 @@ TEST(DurableCatalogTest, DropAndCollapseAreLoggedAndReplayed) {
                     ->DefineProjectionView("V2", "Person",
                                            {"SSN", "date_of_birth"})
                     .ok());
-    // Stacked derivations revert LIFO: the newest view is the droppable one.
     ASSERT_TRUE(db->DropView("V2").ok());
     ASSERT_TRUE(db->Collapse().ok());
     expected = SerializeCatalog(db->catalog());
@@ -226,6 +222,91 @@ TEST(DurableCatalogTest, CorruptNewestSnapshotFallsBackToOlderPlusLog) {
             std::string::npos);
   EXPECT_EQ(reopened->recovery().replayed_records, 1u);
   EXPECT_EQ(SerializeCatalog(reopened->catalog()), expected);
+}
+
+// Dropping the older of two views re-folds the newer one; recovery (load,
+// re-fold, WAL tail) lands on the same catalog, before and after compaction.
+TEST(DurableCatalogTest, DropOfAnOlderViewRecoversByteIdentically) {
+  std::string dir = FreshDir("refold");
+  std::string expected;
+  {
+    auto db = OpenSeeded(dir);
+    ASSERT_TRUE(db.ok()) << db.status();
+    ASSERT_TRUE(
+        db->DefineProjectionView("V1", "Employee", {"SSN", "name"}).ok());
+    ASSERT_TRUE(
+        db->DefineProjectionView("V2", "Employee", {"SSN", "name"}).ok());
+    Status dropped = db->DropView("V1");
+    ASSERT_TRUE(dropped.ok()) << dropped;
+    expected = SerializeCatalog(db->catalog());
+  }
+  {
+    auto reopened = DurableCatalog::Open(dir);
+    ASSERT_TRUE(reopened.ok()) << reopened.status();
+    EXPECT_EQ(reopened->recovery().replayed_records, 3u);
+    EXPECT_EQ(SerializeCatalog(reopened->catalog()), expected);
+    ASSERT_TRUE(reopened->Compact().ok());
+  }
+  auto compacted = DurableCatalog::Open(dir);
+  ASSERT_TRUE(compacted.ok()) << compacted.status();
+  EXPECT_EQ(compacted->recovery().replayed_records, 0u);
+  EXPECT_EQ(SerializeCatalog(compacted->catalog()), expected);
+  ASSERT_EQ(compacted->catalog().views().size(), 1u);
+  EXPECT_EQ(compacted->catalog().views()[0].name, "V2");
+}
+
+// A snapshot whose ops re-fold to another schema than its `fold` line
+// records does not load; recovery falls back to the older snapshot.
+TEST(DurableCatalogTest, SnapshotThatRefoldsElsewhereFallsBack) {
+  std::string dir = FreshDir("badfold");
+  std::string expected;
+  {
+    auto db = OpenSeeded(dir);  // snapshot at lsn 0
+    ASSERT_TRUE(db.ok()) << db.status();
+    ASSERT_TRUE(db->DefineProjectionView("V", "Employee", {"SSN"}).ok());
+    failpoint::Activate("storage.compact.after_rename", 1);
+    ASSERT_FALSE(db->Compact().ok());
+    failpoint::DeactivateAll();
+    expected = SerializeCatalog(db->catalog());
+  }
+  std::string newest;
+  for (const fs::directory_entry& entry : fs::directory_iterator(dir)) {
+    if (entry.path().filename().string().find("00001.tysnap") !=
+        std::string::npos) {
+      newest = entry.path().string();
+    }
+  }
+  ASSERT_FALSE(newest.empty());
+  // Same envelope, same fold line, but the view projects another attribute.
+  std::string payload = expected;
+  std::string op = "op project V Employee SSN verify\n";
+  size_t at = payload.find(op);
+  ASSERT_NE(at, std::string::npos) << payload;
+  payload.replace(at, op.size(), "op project V Employee name verify\n");
+  EXPECT_EQ(DeserializeCatalog(payload).status().code(),
+            StatusCode::kParseError);
+  {
+    std::ofstream out(newest, std::ios::binary | std::ios::trunc);
+    out << EncodeSnapshotEnvelope(payload);
+  }
+  auto reopened = DurableCatalog::Open(dir);
+  ASSERT_TRUE(reopened.ok()) << reopened.status();
+  ASSERT_FALSE(reopened->recovery().warnings.empty());
+  EXPECT_NE(reopened->recovery().warnings[0].find("re-fold"),
+            std::string::npos)
+      << reopened->recovery().warnings[0];
+  EXPECT_EQ(reopened->recovery().snapshot_lsn, 0u);
+  EXPECT_EQ(SerializeCatalog(reopened->catalog()), expected);
+}
+
+// Format v1 (derivation records) is refused with directions to move the
+// data through the previous build's TDL export.
+TEST(DurableCatalogTest, V1SnapshotPayloadIsRefusedWithMigrationSteps) {
+  Result<Catalog> v1 = DeserializeCatalog("tyder-db v1\nschema 0\n\n");
+  ASSERT_EQ(v1.status().code(), StatusCode::kParseError);
+  EXPECT_NE(v1.status().message().find("v1"), std::string::npos);
+  EXPECT_NE(v1.status().message().find("--export"), std::string::npos)
+      << v1.status();
 }
 
 TEST(DurableCatalogTest, RefusesWhenNoSnapshotDecodes) {

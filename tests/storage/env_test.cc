@@ -11,6 +11,7 @@
 #include "storage/env.h"
 #include "storage/faulty_env.h"
 #include "storage/wal.h"
+#include "testing/fixtures.h"
 
 namespace tyder::storage {
 namespace {
@@ -18,9 +19,7 @@ namespace {
 namespace fs = std::filesystem;
 
 std::string FreshDir(const std::string& name) {
-  std::string dir =
-      (fs::temp_directory_path() / ("tyder_env_test_" + name)).string();
-  fs::remove_all(dir);
+  std::string dir = testing::UniqueTestDir("tyder_env_test_" + name);
   fs::create_directories(dir);
   return dir;
 }

@@ -40,10 +40,7 @@ namespace {
 namespace fs = std::filesystem;
 
 std::string FreshDir(const std::string& name) {
-  std::string dir =
-      (fs::temp_directory_path() / ("tyder_iofault_test_" + name)).string();
-  fs::remove_all(dir);
-  return dir;
+  return testing::UniqueTestDir("tyder_iofault_test_" + name);
 }
 
 Result<DurableCatalog> OpenSeeded(const std::string& dir, Env* env = nullptr) {

@@ -10,15 +10,13 @@
 #include <string>
 
 #include "common/failpoint.h"
+#include "testing/fixtures.h"
 
 namespace tyder::storage {
 namespace {
 
 std::string FreshDir(const std::string& name) {
-  std::string dir = (std::filesystem::temp_directory_path() /
-                     ("tyder_wal_test_" + name))
-                        .string();
-  std::filesystem::remove_all(dir);
+  std::string dir = testing::UniqueTestDir("tyder_wal_test_" + name);
   std::filesystem::create_directories(dir);
   return dir;
 }

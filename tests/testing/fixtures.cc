@@ -1,5 +1,12 @@
 #include "testing/fixtures.h"
 
+#include <unistd.h>
+
+#include <atomic>
+#include <filesystem>
+#include <mutex>
+#include <vector>
+
 #include "methods/accessor_gen.h"
 #include "mir/builder.h"
 #include "mir/type_check.h"
@@ -219,6 +226,33 @@ Result<Example1Fixture> BuildExample1(bool with_z_methods) {
   TYDER_RETURN_IF_ERROR(s.Validate());
   TYDER_RETURN_IF_ERROR(TypeCheckSchema(s));
   return fx;
+}
+
+std::string UniqueTestDir(std::string_view tag) {
+  // Every directory handed out is removed again when the process exits, so
+  // repeated runs do not pile up per-process directories.
+  static struct Issued {
+    std::mutex mu;
+    std::vector<std::filesystem::path> dirs;
+    ~Issued() {
+      std::error_code ignored;
+      for (const std::filesystem::path& dir : dirs) {
+        std::filesystem::remove_all(dir, ignored);
+      }
+    }
+  } issued;
+  static std::atomic<uint64_t> counter{0};
+  std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      (std::string(tag) + "-" + std::to_string(::getpid()) + "-" +
+       std::to_string(counter.fetch_add(1)));
+  std::error_code ignored;
+  std::filesystem::remove_all(dir, ignored);
+  {
+    std::lock_guard<std::mutex> lock(issued.mu);
+    issued.dirs.push_back(dir);
+  }
+  return dir.string();
 }
 
 }  // namespace tyder::testing

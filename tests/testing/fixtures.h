@@ -5,6 +5,8 @@
 #define TYDER_TESTS_TESTING_FIXTURES_H_
 
 #include <set>
+#include <string>
+#include <string_view>
 
 #include "common/result.h"
 #include "methods/schema.h"
@@ -44,6 +46,13 @@ struct Example1Fixture {
   std::set<AttrId> Projection() const { return {a2, e2, h2}; }
 };
 Result<Example1Fixture> BuildExample1(bool with_z_methods = false);
+
+// A directory path for one test's store that no other test process shares:
+// under the system temp directory, named by `tag`, this process's id and a
+// per-process counter. Anything already at the path is removed first, and
+// the path is removed again when the process exits; the directory itself is
+// not created.
+std::string UniqueTestDir(std::string_view tag);
 
 }  // namespace tyder::testing
 

@@ -110,6 +110,36 @@ grep -q "2 applied, 0 failed" "$WORK/chain.out" \
 grep -q "^view V2 = project V1 on (SSN, name);$" "$WORK/chain.out" \
   || { echo "FAIL: file-mode --export lost the view over a view" >&2; failures=$((failures + 1)); }
 
+# --- payroll drop pins -----------------------------------------------------
+
+# A drop leaves the catalog as if the view had never been defined; it is
+# refused only when a later view cannot be re-applied without it. Each pin
+# runs in file mode and against a fresh database seeded in the same call.
+drop_pin() {  # drop_pin <name> <expected-exit> <ops...>
+  local name="$1" want="$2"
+  shift 2
+  "$TYDERC" "$TDL" "$@" > "$WORK/$name.out" 2> "$WORK/$name.err"
+  check "$name (file mode)" "$want" $?
+  "$TYDERC" "$TDL" --db "$WORK/$name.db" "$@" > "$WORK/$name.db.out" 2> "$WORK/$name.db.err"
+  check "$name (--db)" "$want" $?
+}
+
+drop_pin "view over a view drops newest-first" 0 \
+  --project Person SSN,name V1 --project V1 SSN V2 --drop V2
+drop_pin "dropping the view under another is refused" 1 \
+  --project Person SSN,name V1 --project V1 SSN V2 --drop V1
+for err in "$WORK/dropping the view under another is refused.err" \
+           "$WORK/dropping the view under another is refused.db.err"; do
+  grep -q "view 'V2'" "$err" \
+    || { echo "FAIL: the refused drop does not name V2 ($err)" >&2; failures=$((failures + 1)); }
+done
+drop_pin "identical projections drop oldest-first" 0 \
+  --project Employee SSN,name A --project Employee SSN,name B --drop A --drop B
+drop_pin "identical projections drop newest-first" 0 \
+  --project Employee SSN,name A --project Employee SSN,name B --drop B --drop A
+drop_pin "a dropped name is defined again" 0 \
+  --project Employee SSN,name A --drop A --project Employee SSN,name A
+
 # --- durable lifecycle -----------------------------------------------------
 
 DB="$WORK/db"

@@ -37,7 +37,8 @@
 //                                            order, so a line that projects
 //                                            an earlier line's view needs
 //                                            --jobs 1
-//   tyderc <schema.tdl> --drop <View>        drop a view (revert/detach)
+//   tyderc <schema.tdl> --drop <View>        drop a view: the catalog as if
+//                                            it had never been defined
 //   tyderc <schema.tdl> --collapse           collapse empty surrogates
 //   tyderc <schema.tdl> --serialize          dump the (post-ops) schema
 //   tyderc <schema.tdl> --export             re-emit the schema as TDL
@@ -249,7 +250,7 @@ size_t RunBatch(Catalog& catalog, storage::DurableCatalog* db,
       Result<const ViewDef*> view = catalog.FindView(item.view);
       std::cout << "  ";
       PrintApplicable(catalog.schema(), item.view,
-                      view.ok() ? (*view)->derivation.applicability.applicable
+                      view.ok() ? (*view)->applicable
                                 : std::vector<MethodId>{});
     } else {
       ++failed;
@@ -380,8 +381,7 @@ int RunOps(const std::string& schema_path, const std::string& db_dir,
               : catalog->DefineProjectionView(view, source, attrs,
                                               projection_options);
       if (!result.ok()) return FailDb(db, result.status());
-      PrintApplicable(schema, view,
-                      (*result)->derivation.applicability.applicable);
+      PrintApplicable(schema, view, (*result)->applicable);
     } else if (flag == "--batch") {
       if (i + 1 >= ops.size()) return Usage();
       std::string path = ops[++i];
