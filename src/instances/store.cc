@@ -26,6 +26,7 @@ Result<ObjectId> ObjectStore::CreateObject(const Schema& schema, TypeId type) {
   }
   ObjectId id = static_cast<ObjectId>(objects_.size());
   objects_.push_back(std::move(obj));
+  types_.push_back(type);
   return id;
 }
 
@@ -51,6 +52,7 @@ Result<ObjectId> ObjectStore::CreateDelegatingObject(const Schema& schema,
   obj.base = base;
   ObjectId id = static_cast<ObjectId>(objects_.size());
   objects_.push_back(std::move(obj));
+  types_.push_back(type);
   return id;
 }
 
@@ -65,6 +67,18 @@ Result<Value> ObjectStore::GetSlot(ObjectId id, AttrId attr) const {
     return Status::InvalidArgument("object id out of range");
   }
   return Status::NotFound("object has no slot for the requested attribute");
+}
+
+void ObjectStore::Prefetch(ObjectId id, std::span<const AttrId> attrs) const {
+  for (AttrId attr : attrs) {
+    for (ObjectId at = id; at < objects_.size(); at = objects_[at].base) {
+      auto it = objects_[at].slots.find(attr);
+      if (it != objects_[at].slots.end()) {
+        __builtin_prefetch(&it->second);
+        break;
+      }
+    }
+  }
 }
 
 Status ObjectStore::SetSlot(ObjectId id, AttrId attr, Value value) {
@@ -85,19 +99,28 @@ Status ObjectStore::SetSlot(ObjectId id, AttrId attr, Value value) {
 
 std::vector<ObjectId> ObjectStore::DirectExtent(TypeId type) const {
   std::vector<ObjectId> out;
-  for (ObjectId id = 0; id < objects_.size(); ++id) {
-    if (objects_[id].type == type) out.push_back(id);
+  for (ObjectId id = 0; id < types_.size(); ++id) {
+    if (types_[id] == type) out.push_back(id);
   }
   return out;
 }
 
 std::vector<ObjectId> ObjectStore::Extent(const Schema& schema,
                                           TypeId type) const {
+  const std::vector<uint8_t> member = MembershipRow(schema, type);
   std::vector<ObjectId> out;
-  for (ObjectId id = 0; id < objects_.size(); ++id) {
-    if (schema.types().IsSubtype(objects_[id].type, type)) out.push_back(id);
+  for (ObjectId id = 0; id < types_.size(); ++id) {
+    if (types_[id] < member.size() && member[types_[id]]) out.push_back(id);
   }
   return out;
+}
+
+std::vector<uint8_t> MembershipRow(const Schema& schema, TypeId type) {
+  const TypeGraph& types = schema.types();
+  std::vector<uint8_t> row(types.NumTypes(), 0);
+  if (type >= row.size()) return row;
+  for (TypeId t = 0; t < row.size(); ++t) row[t] = types.IsSubtype(t, type);
+  return row;
 }
 
 }  // namespace tyder

@@ -10,7 +10,7 @@ bool ApplicableToType(const Schema& schema, MethodId m, TypeId t) {
 }
 
 bool ApplicableToCall(const Schema& schema, MethodId m,
-                      const std::vector<TypeId>& arg_types) {
+                      std::span<const TypeId> arg_types) {
   const Signature& sig = schema.method(m).sig;
   if (sig.params.size() != arg_types.size()) return false;
   for (size_t i = 0; i < arg_types.size(); ++i) {

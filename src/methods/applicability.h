@@ -12,6 +12,7 @@
 #ifndef TYDER_METHODS_APPLICABILITY_H_
 #define TYDER_METHODS_APPLICABILITY_H_
 
+#include <span>
 #include <vector>
 
 #include "methods/schema.h"
@@ -21,7 +22,11 @@ namespace tyder {
 bool ApplicableToType(const Schema& schema, MethodId m, TypeId t);
 
 bool ApplicableToCall(const Schema& schema, MethodId m,
-                      const std::vector<TypeId>& arg_types);
+                      std::span<const TypeId> arg_types);
+inline bool ApplicableToCall(const Schema& schema, MethodId m,
+                             const std::vector<TypeId>& arg_types) {
+  return ApplicableToCall(schema, m, std::span<const TypeId>(arg_types));
+}
 
 // Methods of `gf` applicable to the call, in registration order (a scan of
 // the gf's methods with ApplicableToCall).

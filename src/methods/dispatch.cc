@@ -10,7 +10,7 @@ namespace tyder {
 namespace {
 
 Result<MethodId> NoApplicableMethod(const Schema& schema, GfId gf,
-                                    const std::vector<TypeId>& arg_types) {
+                                    std::span<const TypeId> arg_types) {
   std::string args;
   for (size_t i = 0; i < arg_types.size(); ++i) {
     if (i > 0) args += ", ";
@@ -23,7 +23,7 @@ Result<MethodId> NoApplicableMethod(const Schema& schema, GfId gf,
 }  // namespace
 
 Result<MethodId> Dispatch(const Schema& schema, GfId gf,
-                          const std::vector<TypeId>& arg_types) {
+                          std::span<const TypeId> arg_types) {
   TYDER_COUNT("dispatch.calls");
   if (static_cast<int>(arg_types.size()) != schema.gf(gf).arity) {
     return Status::InvalidArgument("call to '" + schema.gf(gf).name.str() +

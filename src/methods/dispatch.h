@@ -10,6 +10,7 @@
 #ifndef TYDER_METHODS_DISPATCH_H_
 #define TYDER_METHODS_DISPATCH_H_
 
+#include <span>
 #include <vector>
 
 #include "common/result.h"
@@ -18,9 +19,15 @@
 namespace tyder {
 
 // The method a call m(arg_types...) dispatches to. InvalidArgument on an
-// arity mismatch, NotFound when no method applies.
+// arity mismatch, NotFound when no method applies. Every argument type must
+// be a type id of `schema`. The span form reads the caller's buffer, so an
+// interpreter call allocates nothing.
 Result<MethodId> Dispatch(const Schema& schema, GfId gf,
-                          const std::vector<TypeId>& arg_types);
+                          std::span<const TypeId> arg_types);
+inline Result<MethodId> Dispatch(const Schema& schema, GfId gf,
+                                 const std::vector<TypeId>& arg_types) {
+  return Dispatch(schema, gf, std::span<const TypeId>(arg_types));
+}
 
 // Convenience: dispatch by generic-function name.
 Result<MethodId> DispatchByName(const Schema& schema, std::string_view gf_name,

@@ -130,7 +130,7 @@ uint32_t DispatchIndex::Best(const Gf& g, const TypeId* args) const {
 }
 
 MethodId DispatchIndex::Select(const Schema& schema, GfId gf,
-                               const std::vector<TypeId>& args) const {
+                               std::span<const TypeId> args) const {
   const Gf& g = gfs_[gf];
   const std::vector<MethodId>& methods = schema.gf(gf).methods;
   if (g.words == 0) {

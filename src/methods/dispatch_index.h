@@ -30,6 +30,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <vector>
 
 #include "common/ids.h"
@@ -52,7 +53,7 @@ class DispatchIndex {
   // The most specific applicable method, or kInvalidMethod if none applies.
   // `args` must match the gf's arity.
   MethodId Select(const Schema& schema, GfId gf,
-                  const std::vector<TypeId>& args) const;
+                  std::span<const TypeId> args) const;
 
   // Applicable methods, most specific first, ties in registration order.
   std::vector<MethodId> Order(const Schema& schema, GfId gf,

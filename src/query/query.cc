@@ -1,5 +1,9 @@
 #include "query/query.h"
 
+#include <cstdint>
+#include <optional>
+#include <span>
+
 #include "instances/interp.h"
 #include "lang/analyzer.h"
 #include "lang/parser.h"
@@ -74,15 +78,15 @@ Query& Query::Column(std::string_view gf_name) {
   // `gf(self)` as an expression statement.
   Signature sig{{from_}, schema_.builtins().void_type};
   std::vector<Symbol> params = {Symbol::Intern("self")};
-  ExprPtr body = mir::Seq({mir::ExprStmt(mir::Call(*gf, {mir::Param(0)}))});
+  ExprPtr call = mir::Call(*gf, {mir::Param(0)});
   Result<TypeAnnotations> checked =
-      TypeCheckBody(schema_, sig, params, body);
+      TypeCheckBody(schema_, sig, params, mir::Seq({mir::ExprStmt(call)}));
   if (!checked.ok()) {
     Defer(checked.status().WithContext("query column '" +
                                        std::string(gf_name) + "'"));
     return *this;
   }
-  columns_.push_back(*gf);
+  columns_.push_back(mir::Seq({mir::Return(std::move(call))}));
   column_names_.emplace_back(gf_name);
   return *this;
 }
@@ -105,37 +109,73 @@ Result<QueryResult> Query::Execute(ObjectStore& store) const {
   QueryResult result;
   result.columns = column_names_;
   Interpreter interp(schema_, &store);
+  const std::vector<uint8_t> member = MembershipRow(schema_, from_);
+  const std::vector<TypeId>& types = store.creation_types();
+  // One plan per concrete type met, built when its first member arrives.
+  std::vector<std::optional<CallPlan>> plans(member.size());
   uint64_t scanned = 0;
   uint64_t filtered_out = 0;
-  for (ObjectId candidate : store.Extent(schema_, from_)) {
-    ++scanned;
-    bool keep = true;
-    for (const ExprPtr& predicate : predicates_) {
-      TYDER_ASSIGN_OR_RETURN(
-          Value verdict,
-          interp.EvalBody(predicate, {Value::Object(candidate)}));
-      if (!verdict.is_bool()) {
-        return Status::Internal("query predicate did not yield Bool");
+  uint64_t plans_built = 0;
+  // Members are evaluated in groups of up to kGroup, in id order. The slots
+  // a group's plans read are looked up for the whole group first, so that
+  // the members' cache misses overlap instead of stalling one evaluation
+  // after another.
+  constexpr size_t kGroup = 16;
+  for (ObjectId next = 0; next < types.size();) {
+    ObjectId group[kGroup] = {};
+    size_t size = 0;
+    for (; next < types.size() && size < kGroup; ++next) {
+      if (types[next] < member.size() && member[types[next]]) {
+        group[size++] = next;
       }
-      if (!verdict.AsBool()) {
-        keep = false;
-        break;
+    }
+    for (size_t i = 0; i < size; ++i) {
+      const std::optional<CallPlan>& plan = plans[types[group[i]]];
+      if (plan.has_value()) store.Prefetch(group[i], plan->reads());
+    }
+    for (size_t i = 0; i < size; ++i) {
+      const ObjectId id = group[i];
+      std::optional<CallPlan>& plan = plans[types[id]];
+      if (!plan.has_value()) {
+        plan.emplace(types[id]);
+        ++plans_built;
       }
+      ++scanned;
+      const Value candidate = Value::Object(id);
+      const std::span<const Value> args(&candidate, 1);
+      bool keep = true;
+      for (const ExprPtr& predicate : predicates_) {
+        TYDER_ASSIGN_OR_RETURN(Value verdict,
+                               interp.EvalBody(predicate, args, &*plan));
+        if (!verdict.is_bool()) {
+          return Status::Internal("query predicate did not yield Bool");
+        }
+        if (!verdict.AsBool()) {
+          keep = false;
+          break;
+        }
+      }
+      if (!keep) {
+        ++filtered_out;
+        continue;
+      }
+      result.objects.push_back(id);
+      std::vector<Value> row;
+      row.reserve(columns_.size());
+      for (const ExprPtr& column : columns_) {
+        TYDER_ASSIGN_OR_RETURN(Value v,
+                               interp.EvalBody(column, args, &*plan));
+        row.push_back(std::move(v));
+      }
+      result.rows.push_back(std::move(row));
     }
-    if (!keep) {
-      ++filtered_out;
-      continue;
-    }
-    result.objects.push_back(candidate);
-    std::vector<Value> row;
-    row.reserve(columns_.size());
-    for (GfId column : columns_) {
-      TYDER_ASSIGN_OR_RETURN(Value v,
-                             interp.Call(column, {Value::Object(candidate)}));
-      row.push_back(std::move(v));
-    }
-    result.rows.push_back(std::move(row));
   }
+  uint64_t resolved = 0;
+  for (const std::optional<CallPlan>& plan : plans) {
+    if (plan.has_value()) resolved += plan->resolved();
+  }
+  TYDER_COUNT_N("query.plans_built", plans_built);
+  TYDER_COUNT_N("query.plan_calls_resolved", resolved);
   TYDER_COUNT_N("query.objects_scanned", scanned);
   TYDER_COUNT_N("query.objects_filtered_out", filtered_out);
   TYDER_COUNT_N("query.rows_emitted",

@@ -5,6 +5,12 @@
 // view can only use the behavior that survived the derivation, exactly the
 // encapsulation views exist to provide.
 //
+// Execute walks the store's creation-type column against one membership row
+// and touches only members, in ascending id order. Each member is evaluated
+// through the CallPlan of its concrete type (instances/interp.h), so a call
+// on the candidate dispatches once per type a scan meets, not once per
+// object: the predicate is typed once per input type.
+//
 //   Query query(schema, "EmployeeView");
 //   query.WhereTdl("get_pay_rate(self) < 100.0 and age(self) < 65")
 //        .Column("get_SSN")
@@ -61,8 +67,8 @@ class Query {
   const Schema& schema_;
   std::vector<Status> deferred_;  // all construction errors, in call order
   TypeId from_ = kInvalidType;
-  std::vector<ExprPtr> predicates_;
-  std::vector<GfId> columns_;
+  std::vector<ExprPtr> predicates_;  // `return <predicate>;` bodies
+  std::vector<ExprPtr> columns_;     // `return <gf>(self);` bodies
   std::vector<std::string> column_names_;
 };
 

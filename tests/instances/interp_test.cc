@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+
 #include "core/projection.h"
+#include "lang/analyzer.h"
 #include "mir/builder.h"
 #include "testing/fixtures.h"
 
@@ -157,6 +161,94 @@ TEST_F(InterpTest, DivisionByZeroReported) {
   auto r = interp.Invoke(*id, {Value::Object(*a)});
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+}
+
+// Int arithmetic is checked: a result outside int64 is an InvalidArgument,
+// like division by zero, rather than a wrapped value or a SIGFPE.
+TEST_F(InterpTest, IntegerOverflowReported) {
+  auto catalog = LoadTdl(
+      "type T { n: Int; }\n"
+      "accessors;\n"
+      "method neg (x: T) -> Int { return get_n(x) / (0 - 1); }\n"
+      "method twice (x: T) -> Int { return get_n(x) * 2; }\n"
+      "method succ (x: T) -> Int { return get_n(x) + 1; }\n"
+      "method minus (x: T) -> Int { return 0 - get_n(x) - 2; }\n");
+  ASSERT_TRUE(catalog.ok()) << catalog.status();
+  const Schema& s = catalog->schema();
+  ObjectStore store;
+  auto obj = store.CreateObject(s, *s.types().FindType("T"));
+  ASSERT_TRUE(obj.ok());
+  AttrId n = *s.types().FindAttribute("n");
+  Interpreter interp(s, &store);
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+
+  struct Case {
+    int64_t n;
+    const char* gf;
+  };
+  for (const Case& c : {Case{kMin, "neg"}, Case{kMax, "twice"},
+                        Case{kMax, "succ"}, Case{kMax, "minus"}}) {
+    ASSERT_TRUE(store.SetSlot(*obj, n, Value::Int(c.n)).ok());
+    auto r = interp.CallByName(c.gf, {Value::Object(*obj)});
+    ASSERT_FALSE(r.ok()) << c.gf << " returned " << r->ToString();
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << c.gf;
+    EXPECT_NE(r.status().message().find("integer overflow"),
+              std::string::npos)
+        << r.status();
+  }
+
+  // In range, the same methods compute.
+  ASSERT_TRUE(store.SetSlot(*obj, n, Value::Int(-7)).ok());
+  EXPECT_EQ(*interp.CallByName("neg", {Value::Object(*obj)}), Value::Int(7));
+  EXPECT_EQ(*interp.CallByName("twice", {Value::Object(*obj)}),
+            Value::Int(-14));
+  EXPECT_EQ(*interp.CallByName("succ", {Value::Object(*obj)}), Value::Int(-6));
+  EXPECT_EQ(*interp.CallByName("minus", {Value::Object(*obj)}),
+            Value::Int(5));
+}
+
+TEST_F(InterpTest, LocalsLiveInTheirOwnFrame) {
+  // `twice` and `outer` both declare `v`; the callee's local must neither
+  // see nor clobber the caller's.
+  auto catalog = LoadTdl(
+      "type T { n: Int; }\n"
+      "accessors;\n"
+      "method twice (x: T) -> Int { v: Int = get_n(x); v = v + v; "
+      "return v; }\n"
+      "method outer (x: T) -> Int { v: Int = 1; w: Int = twice(x); "
+      "return v * 1000 + w; }\n");
+  ASSERT_TRUE(catalog.ok()) << catalog.status();
+  const Schema& s = catalog->schema();
+  ObjectStore store;
+  auto obj = store.CreateObject(s, *s.types().FindType("T"));
+  ASSERT_TRUE(obj.ok());
+  ASSERT_TRUE(
+      store.SetSlot(*obj, *s.types().FindAttribute("n"), Value::Int(21)).ok());
+  Interpreter interp(s, &store);
+  EXPECT_EQ(*interp.CallByName("outer", {Value::Object(*obj)}),
+            Value::Int(1042));
+}
+
+TEST_F(InterpTest, ReadBeforeDeclarationIsInternal) {
+  Schema& s = fx_.schema;
+  auto gf = s.DeclareGenericFunction("read_probe", 1);
+  ASSERT_TRUE(gf.ok());
+  Method m;
+  m.label = Symbol::Intern("read_probe1");
+  m.gf = *gf;
+  m.kind = MethodKind::kGeneral;
+  m.sig = Signature{{fx_.person}, s.builtins().int_type};
+  m.body = mir::Seq({mir::Return(mir::Var("ghost"))});
+  auto id = s.AddMethod(std::move(m));
+  ASSERT_TRUE(id.ok()) << id.status();
+  Interpreter interp(s, &store_);
+  auto r = interp.Invoke(*id, {Value::Object(emp_)});
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInternal);
+  EXPECT_NE(r.status().message().find("read before declaration"),
+            std::string::npos)
+      << r.status();
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "catalog/catalog.h"
 #include "testing/fixtures.h"
 
 namespace tyder {
@@ -59,6 +60,44 @@ TEST_F(StoreTest, ExtentFollowsSubtypeSemantics) {
   // An employee is a person (inclusion polymorphism).
   EXPECT_EQ(store_.Extent(fx_.schema, fx_.person).size(), 3u);
   EXPECT_EQ(store_.Extent(fx_.schema, fx_.employee).size(), 2u);
+}
+
+TEST_F(StoreTest, ExtentIsInIdOrderAndReadsTheTypeColumn) {
+  auto e1 = store_.CreateObject(fx_.schema, fx_.employee);
+  auto p = store_.CreateObject(fx_.schema, fx_.person);
+  auto e2 = store_.CreateObject(fx_.schema, fx_.employee);
+  ASSERT_TRUE(e1.ok() && p.ok() && e2.ok());
+  EXPECT_EQ(store_.creation_types(),
+            (std::vector<TypeId>{fx_.employee, fx_.person, fx_.employee}));
+  EXPECT_EQ(store_.creation_type(*p), fx_.person);
+  EXPECT_EQ(store_.creation_type(99), kInvalidType);
+  EXPECT_EQ(store_.Extent(fx_.schema, fx_.person),
+            (std::vector<ObjectId>{*e1, *p, *e2}));
+  std::vector<uint8_t> row = MembershipRow(fx_.schema, fx_.employee);
+  ASSERT_EQ(row.size(), fx_.schema.types().NumTypes());
+  EXPECT_TRUE(row[fx_.employee]);
+  EXPECT_FALSE(row[fx_.person]);
+}
+
+// A drop restores the view's checkpoint, so NumTypes falls below the
+// creation type of an object made with the view's type. Such an object
+// belongs to no extent, and deciding so must not index the subtype closure
+// with its creation type.
+TEST_F(StoreTest, ObjectOfADroppedViewBelongsToNoExtent) {
+  Catalog catalog(std::move(fx_.schema));
+  ASSERT_TRUE(catalog.DefineProjectionView("V", "Person", {"SSN"}).ok());
+  auto view = catalog.schema().types().FindType("V");
+  ASSERT_TRUE(view.ok());
+  auto person = store_.CreateObject(catalog.schema(), fx_.person);
+  auto stale = store_.CreateObject(catalog.schema(), *view);
+  ASSERT_TRUE(person.ok() && stale.ok());
+  ASSERT_TRUE(catalog.DropView("V").ok());
+  ASSERT_GE(*view, catalog.schema().types().NumTypes());
+
+  EXPECT_EQ(store_.Extent(catalog.schema(), fx_.person),
+            std::vector<ObjectId>{*person});
+  EXPECT_EQ(MembershipRow(catalog.schema(), fx_.person).size(),
+            catalog.schema().types().NumTypes());
 }
 
 TEST_F(StoreTest, OutOfRangeAccessRejected) {

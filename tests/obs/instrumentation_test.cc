@@ -116,6 +116,26 @@ TEST(InstrumentationTest, QueryCountersCountScannedFilteredEmitted) {
   EXPECT_EQ(m.CounterValue("query.objects_scanned"), 3u);
   EXPECT_EQ(m.CounterValue("query.objects_filtered_out"), 1u);
   EXPECT_EQ(m.CounterValue("query.rows_emitted"), 2u);
+  // One concrete type met: one plan, which resolved get_pay_rate and, once a
+  // row was kept, get_SSN. Those two resolutions are the scan's only
+  // dispatches.
+  EXPECT_EQ(m.CounterValue("query.plans_built"), 1u);
+  EXPECT_EQ(m.CounterValue("query.plan_calls_resolved"), 2u);
+  EXPECT_EQ(m.CounterValue("dispatch.calls"), 2u);
+
+  // A Person (born in year 0, so age filters it out) joins the extent: a
+  // second plan. Each plan resolves age and age's get_date_of_birth; only
+  // the Employee plan reaches the column.
+  auto person = store.CreateObject(fx->schema, fx->person);
+  ASSERT_TRUE(person.ok());
+  MetricsRegistry::Global().Reset();
+  Query ages(fx->schema, "Person");
+  ages.WhereTdl("age(self) < 100").Column("get_SSN");
+  ASSERT_TRUE(ages.Execute(store).ok());
+  EXPECT_EQ(m.CounterValue("query.objects_scanned"), 4u);
+  EXPECT_EQ(m.CounterValue("query.plans_built"), 2u);
+  EXPECT_EQ(m.CounterValue("query.plan_calls_resolved"), 5u);
+  EXPECT_EQ(m.CounterValue("dispatch.calls"), 5u);
 }
 
 TEST(InstrumentationTest, DerivationBumpsPipelineCounters) {

@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include "catalog/catalog.h"
 #include "core/projection.h"
+#include "instances/interp.h"
 #include "instances/view_materialize.h"
+#include "lang/analyzer.h"
 #include "mir/builder.h"
+#include "obs/obs.h"
 #include "testing/fixtures.h"
 
 namespace tyder {
@@ -129,6 +133,91 @@ TEST_F(QueryTest, QueryOverDerivedViewUsesSurvivingBehaviorOnly) {
   auto rejected = bad_query.Execute(store_);
   ASSERT_FALSE(rejected.ok());
   EXPECT_NE(rejected.status().message().find("income"), std::string::npos);
+}
+
+// An object made with a view's type outlives the view's drop, and its
+// creation type is then past the schema's NumTypes. A scan skips it without
+// indexing the subtype closure with that type, and a call on it is refused
+// before it could index the dispatch index.
+TEST_F(QueryTest, ObjectOfADroppedViewIsSkippedByScansAndRefusedByCalls) {
+  Catalog catalog(std::move(fx_.schema));
+  ASSERT_TRUE(
+      catalog.DefineProjectionView("V", "Employee", {"SSN", "pay_rate"}).ok());
+  auto view = catalog.schema().types().FindType("V");
+  ASSERT_TRUE(view.ok());
+  auto stale = store_.CreateObject(catalog.schema(), *view);
+  ASSERT_TRUE(stale.ok());
+  ASSERT_TRUE(catalog.DropView("V").ok());
+  ASSERT_GE(*view, catalog.schema().types().NumTypes());
+
+  Query query(catalog.schema(), "Person");
+  query.WhereTdl("age(self) < 200").Column("get_SSN");
+  auto result = query.Execute(store_);
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_EQ(result->objects, employees_);
+
+  Interpreter interp(catalog.schema(), &store_);
+  auto call = interp.CallByName("get_SSN", {Value::Object(*stale)});
+  ASSERT_FALSE(call.ok());
+  EXPECT_EQ(call.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(call.status().message().find("no longer has"), std::string::npos)
+      << call.status();
+}
+
+// Plans memoize per concrete type, so a scan over both Person and Employee
+// objects must still dispatch each call on each object's own type.
+TEST_F(QueryTest, MixedExtentDispatchesPerConcreteType) {
+  auto person = store_.CreateObject(fx_.schema, fx_.person);
+  ASSERT_TRUE(person.ok());
+  ASSERT_TRUE(store_.SetSlot(*person, fx_.ssn, Value::String("P0")).ok());
+  ASSERT_TRUE(
+      store_.SetSlot(*person, fx_.date_of_birth, Value::Int(2000)).ok());
+  Query query(fx_.schema, "Person");
+  query.WhereTdl("age(self) < 50").Column("get_SSN").Column("age");
+  auto result = query.Execute(store_);
+  ASSERT_TRUE(result.ok()) << result.status();
+  ASSERT_EQ(result->objects,
+            (std::vector<ObjectId>{employees_[0], employees_[2], *person}));
+  EXPECT_EQ(result->rows[2][0], Value::String("P0"));
+  EXPECT_EQ(result->rows[2][1], Value::Int(26));
+
+  // income applies to Employee only: the scan fails at the Person, the
+  // first member whose plan cannot resolve it, with Dispatch's message.
+  Query income(fx_.schema, "Person");
+  income.Column("income");
+  auto rejected = income.Execute(store_);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), StatusCode::kNotFound);
+  EXPECT_NE(rejected.status().message().find("income(Person)"),
+            std::string::npos)
+      << rejected.status();
+}
+
+// A cyclic call graph (Example 1's x1/y1 in miniature): a scan resolves
+// each call site once and still stops at the interpreter's depth limit.
+TEST(QueryCycleTest, CyclicCallsResolveOnceAndHitTheDepthLimit) {
+  auto catalog = LoadTdl(
+      "type T { n: Int; }\n"
+      "accessors;\n"
+      "method ping (x: T) -> Bool { return pong(x); }\n"
+      "method pong (x: T) -> Bool { return ping(x); }\n");
+  ASSERT_TRUE(catalog.ok()) << catalog.status();
+  const Schema& schema = catalog->schema();
+  ObjectStore store;
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(store.CreateObject(schema, *schema.types().FindType("T")).ok());
+  }
+  Query query(schema, "T");
+  query.WhereTdl("ping(self)");
+  obs::MetricsRegistry::Global().Reset();
+  auto result = query.Execute(store);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition)
+      << result.status();
+#if TYDER_OBS_ENABLED
+  // ping in the predicate, pong in ping's body, ping in pong's body.
+  EXPECT_EQ(obs::MetricsRegistry::Global().CounterValue("dispatch.calls"), 3u);
+#endif
 }
 
 TEST_F(QueryTest, IllTypedPredicateRejected) {
