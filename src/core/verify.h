@@ -20,14 +20,18 @@
 // different supertype closure, so:
 //
 //   (i)   the subtype relation among pre-existing types is unchanged
-//         (closure rows compared);
+//         (D's closure rows compared over the pre-existing prefix);
 //   (ii)  every rewritten formal admits exactly the pre-existing types its
 //         old formal admitted — with (i), every call over pre-existing
 //         types has the same applicable methods, so a one-method generic
 //         function needs no probes;
-//   (iii) a generic function with two or more methods is re-dispatched only
-//         for argument tuples with some argument in D and every argument
-//         under some formal at its position;
+//   (iii) a generic function with two or more methods and no re-homed
+//         formal compares only pre-existing formals' ranks, so it is
+//         re-dispatched only for argument tuples with an argument of D
+//         whose class precedence list, restricted to pre-existing types,
+//         changed; one with a re-homed formal, for tuples with some
+//         argument in D. Either way every argument is under some formal at
+//         its position;
 //   (iv)  cumulative state is compared only for types in D.
 //
 // Where the certificate cannot decide — a generic function's method list
@@ -36,8 +40,9 @@
 // exhaustive sweep, CheckDispatchPreserved, which also words the issues.
 // When (i) fails, every generic function is swept and every type's state is
 // compared. The report is therefore the one a full sweep would give, line
-// for line. verify.dispatch_probes counts re-dispatched tuples and
-// verify.gf_sweeps the generic functions handed to the sweep.
+// for line. verify.dispatch_probes counts re-dispatched tuples,
+// verify.cpl_changed the types of D whose restricted precedence list
+// changed and verify.gf_sweeps the generic functions handed to the sweep.
 
 #ifndef TYDER_CORE_VERIFY_H_
 #define TYDER_CORE_VERIFY_H_

@@ -14,7 +14,7 @@
 // The most specific applicable method is the first strict minimum under the
 // ranks (paper Section 4: at the first position whose formals differ, the
 // formal earlier in the actual's CPL wins), which is the front of
-// SortApplicableBySpecificity's stable order: identical-formal twins resolve
+// SortBySpecificity's stable order: identical-formal twins resolve
 // by registration order. A one-method gf needs no index, only one IsSubtype
 // per position.
 //

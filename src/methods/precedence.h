@@ -17,6 +17,7 @@
 #define TYDER_METHODS_PRECEDENCE_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/result.h"
@@ -30,18 +31,15 @@ namespace tyder {
 std::vector<MethodId> SortBySpecificity(const Schema& schema, GfId gf,
                                         const std::vector<TypeId>& arg_types);
 
-// The class precedence list of `t` as a dense rank table indexed by TypeId:
-// `t` ranks 0 and each supertype its CPL position. Types outside the CPL
-// rank NumTypes(), after every member.
-std::vector<uint32_t> CplRanks(const TypeGraph& graph, TypeId t);
-
-// The ordering step of SortBySpecificity for callers that keep rank tables
-// across calls: stably sorts `methods`, all applicable to one call, most
-// specific first. `arg_ranks[i]` is the CplRanks of the call's i-th actual.
-void SortApplicableBySpecificity(
-    const Schema& schema,
-    const std::vector<const std::vector<uint32_t>*>& arg_ranks,
-    std::vector<MethodId>* methods);
+// The front of SortBySpecificity's order, for callers that keep CPL rank
+// tables across calls; it neither sorts nor allocates. `methods` are the
+// methods applicable to one call, in registration order, and
+// `arg_ranks[i][x]` is x's position in the CPL of the call's i-th actual.
+// Returns the first method that no other is more specific than, or
+// kInvalidMethod if `methods` is empty.
+MethodId MostSpecificOf(const Schema& schema,
+                        std::span<const std::span<const uint32_t>> arg_ranks,
+                        std::span<const MethodId> methods);
 
 // The most specific applicable method; NotFound if no method applies.
 Result<MethodId> MostSpecificApplicable(const Schema& schema, GfId gf,

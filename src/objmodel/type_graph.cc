@@ -324,6 +324,12 @@ bool TypeGraph::IsSubtype(TypeId a, TypeId b) const {
   return c->Test(a, b);
 }
 
+std::span<const uint64_t> TypeGraph::AncestorRow(TypeId t) const {
+  const Closure* c = closure();
+  if (!c->RowReady(t)) BuildRow(c, t);
+  return std::span<const uint64_t>(c->bits.get() + t * c->words, c->words);
+}
+
 std::vector<TypeId> TypeGraph::SupertypeClosure(TypeId t) const {
   std::vector<bool> seen(types_.size(), false);
   std::vector<TypeId> order;
@@ -369,17 +375,49 @@ bool TypeGraph::AttributeAvailableAt(TypeId t, AttrId a) const {
   return IsSubtype(t, attrs_[a].owner);
 }
 
+namespace {
+
+// True iff the in-range supertype edges form no cycle, in one Kahn pass:
+// peel types that no unpeeled type lists as a supertype. A type on or above
+// a cycle is never peeled.
+bool EdgesAcyclic(const std::vector<Type>& types) {
+  const size_t n = types.size();
+  std::vector<uint32_t> subs(n, 0);  // unpeeled edges into each type
+  for (const Type& t : types) {
+    for (TypeId s : t.supertypes()) {
+      if (s < n) ++subs[s];
+    }
+  }
+  std::vector<TypeId> ready;
+  for (TypeId t = 0; t < n; ++t) {
+    if (subs[t] == 0) ready.push_back(t);
+  }
+  size_t peeled = 0;
+  while (!ready.empty()) {
+    TypeId t = ready.back();
+    ready.pop_back();
+    ++peeled;
+    for (TypeId s : types[t].supertypes()) {
+      if (s < n && --subs[s] == 0) ready.push_back(s);
+    }
+  }
+  return peeled == n;
+}
+
+}  // namespace
+
 Status TypeGraph::Validate() const {
-  // Edge indices in range and acyclic.
+  // Edge indices in range and acyclic. The exact DAG walks, not the closure,
+  // since cycle detection must work even on the malformed graphs the closure
+  // build skips over; they run only to name the cycle one pass found.
+  const bool acyclic = EdgesAcyclic(types_);
   for (TypeId t = 0; t < types_.size(); ++t) {
     for (TypeId s : types_[t].supertypes()) {
       if (s >= types_.size()) {
         return Status::Internal("supertype id out of range for '" +
                                 TypeName(t) + "'");
       }
-      // Exact DAG walk, not the closure: cycle detection must work even on
-      // the malformed graphs the closure build skips over.
-      if (s == t || UncachedWalk(s, t)) {
+      if (!acyclic && (s == t || UncachedWalk(s, t))) {
         return Status::Internal("cycle through '" + TypeName(t) + "' and '" +
                                 TypeName(s) + "'");
       }

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string_view>
 #include <unordered_map>
 #include <vector>
@@ -92,6 +93,12 @@ class TypeGraph {
   // never recompute more than they read. Mutation is NOT thread-safe and
   // must not overlap any query.
   bool IsSubtype(TypeId a, TypeId b) const;
+
+  // The packed ancestor row of `t` that IsSubtype reads: bit b (word b / 64,
+  // bit b % 64) is set iff t ≼ b, over NumTypes() bits. The row is built on
+  // first use, as for IsSubtype, even with the cache disabled; the span stays
+  // valid until the graph is next mutated.
+  std::span<const uint64_t> AncestorRow(TypeId t) const;
 
   // Disables/enables the ancestor-closure cache (ablation benches; default
   // on). When disabled every query walks the DAG.

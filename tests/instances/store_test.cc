@@ -122,8 +122,10 @@ TEST_F(StoreTest, ValueToStringAndEquality) {
   EXPECT_EQ(Value::String("x").ToString(), "\"x\"");
   EXPECT_EQ(Value::Void().ToString(), "void");
   EXPECT_EQ(Value::Object(3).ToString(), "#3");
-  EXPECT_EQ(Value::Int(1), Value::Int(1));
-  EXPECT_FALSE(Value::Int(1) == Value::Float(1.0));
+  const Value one = Value::Int(1);
+  const Value one_float = Value::Float(1.0);
+  EXPECT_EQ(one, Value::Int(1));
+  EXPECT_FALSE(one == one_float);
 }
 
 }  // namespace

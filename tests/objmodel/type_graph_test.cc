@@ -173,6 +173,39 @@ TEST_F(TypeGraphTest, ValidatePassesOnWellFormedGraph) {
   EXPECT_TRUE(graph_.Validate().ok());
 }
 
+TEST_F(TypeGraphTest, ValidateNamesMalformedEdges) {
+  TypeId a = Declare("A");
+  TypeId b = Declare("B");
+  TypeId c = Declare("C");
+  ASSERT_TRUE(graph_.AddSupertype(c, a).ok());
+  ASSERT_TRUE(graph_.AddSupertype(a, b).ok());
+  ASSERT_TRUE(graph_.Validate().ok());
+  auto expect = [&](const std::string& message) {
+    Status status = graph_.Validate();
+    EXPECT_EQ(status.code(), StatusCode::kInternal);
+    EXPECT_EQ(status.message(), message);
+  };
+
+  // A cycle through edges AddSupertype would refuse, with C above it.
+  graph_.mutable_type(b).AppendSupertype(a);
+  expect("cycle through 'A' and 'B'");
+  ASSERT_TRUE(graph_.mutable_type(b).RemoveSupertype(a));
+  graph_.mutable_type(b).AppendSupertype(b);
+  expect("cycle through 'B' and 'B'");
+  ASSERT_TRUE(graph_.mutable_type(b).RemoveSupertype(b));
+
+  graph_.mutable_type(c).AppendSupertype(
+      static_cast<TypeId>(graph_.NumTypes()));
+  expect("supertype id out of range for 'C'");
+  graph_.mutable_type(c).RemoveSupertype(
+      static_cast<TypeId>(graph_.NumTypes()));
+
+  graph_.mutable_type(a).AppendSupertype(b);
+  expect("duplicate direct supertype on 'A'");
+  ASSERT_TRUE(graph_.mutable_type(a).RemoveSupertype(b));
+  EXPECT_TRUE(graph_.Validate().ok());
+}
+
 TEST_F(TypeGraphTest, FindTypeReportsNotFound) {
   EXPECT_EQ(graph_.FindType("Nope").status().code(), StatusCode::kNotFound);
   EXPECT_EQ(graph_.FindAttribute("nope").status().code(),
