@@ -1,7 +1,9 @@
 // Section 7's open problem, quantified: surrogate growth when views are
 // defined over views, with and without the empty-surrogate collapse pass.
-// The `live_surrogates` / `after_collapse` counters are the series for the
-// EXPERIMENTS.md table.
+// The `live_surrogates` / `after_collapse` / `num_types` counters are the
+// series for the EXPERIMENTS.md table; `num_types` is the schema's NumTypes
+// (after the collapse, in the collapse series), builtins and payroll's base
+// types included.
 
 #include <benchmark/benchmark.h>
 
@@ -30,7 +32,7 @@ Result<Catalog> BuildChainCatalog(int depth) {
 
 void BM_ViewChainNoCollapse(benchmark::State& state) {
   int depth = static_cast<int>(state.range(0));
-  size_t surrogates = 0;
+  size_t surrogates = 0, types = 0;
   for (auto _ : state) {
     auto catalog = BuildChainCatalog(depth);
     if (!catalog.ok()) {
@@ -38,15 +40,17 @@ void BM_ViewChainNoCollapse(benchmark::State& state) {
       return;
     }
     surrogates = catalog->LiveSurrogateCount();
+    types = catalog->schema().types().NumTypes();
     benchmark::DoNotOptimize(surrogates);
   }
   state.counters["live_surrogates"] = static_cast<double>(surrogates);
+  state.counters["num_types"] = static_cast<double>(types);
 }
 BENCHMARK(BM_ViewChainNoCollapse)->DenseRange(1, 8);
 
 void BM_ViewChainWithCollapse(benchmark::State& state) {
   int depth = static_cast<int>(state.range(0));
-  size_t before = 0, after = 0;
+  size_t before = 0, after = 0, types = 0;
   for (auto _ : state) {
     auto catalog = BuildChainCatalog(depth);
     if (!catalog.ok()) {
@@ -60,10 +64,12 @@ void BM_ViewChainWithCollapse(benchmark::State& state) {
       return;
     }
     after = catalog->LiveSurrogateCount();
+    types = catalog->schema().types().NumTypes();
     benchmark::DoNotOptimize(after);
   }
   state.counters["live_surrogates"] = static_cast<double>(before);
   state.counters["after_collapse"] = static_cast<double>(after);
+  state.counters["num_types"] = static_cast<double>(types);
 }
 BENCHMARK(BM_ViewChainWithCollapse)->DenseRange(1, 8);
 

@@ -37,6 +37,14 @@ std::string DescribeEntry(const CatalogLogEntry& entry) {
                             : "view '" + entry.view + "'";
 }
 
+// Replaces each of `def`'s type ids t with new_id(t).
+template <typename NewId>
+void RenumberView(ViewDef& def, const NewId& new_id) {
+  for (TypeId* t : {&def.derived, &def.source, &def.source2}) {
+    if (*t != kInvalidType) *t = new_id(*t);
+  }
+}
+
 }  // namespace
 
 Result<Catalog> Catalog::Create() {
@@ -70,7 +78,7 @@ template <typename Fn>
 auto Catalog::Logged(std::string op, Fn&& apply) -> decltype(apply()) {
   uint64_t before = schema_.version();
   auto result = apply();
-  if (result.ok() && !log_.empty()) {
+  if (result.ok() && !log_.empty() && schema_.version() != before) {
     log_.push_back(
         CatalogLogEntry{std::move(op), "", nullptr, before, schema_.version()});
   }
@@ -242,6 +250,14 @@ Status Catalog::DropView(std::string_view name) {
   Catalog rebuilt(Schema(*log_[at].checkpoint));
   rebuilt.log_.assign(log_.begin(), log_.begin() + at);
   rebuilt.views_.assign(views_.begin(), views_.begin() + view_index);
+  // A Collapse after the checkpoint may have renumbered the kept views'
+  // types; the entries re-applied below must see the checkpoint's ids.
+  const TypeGraph& now = schema_.types();
+  const TypeGraph& then = rebuilt.schema_.types();
+  for (ViewDef& def : rebuilt.views_) {
+    RenumberView(def,
+                 [&](TypeId t) { return *then.FindType(now.TypeName(t)); });
+  }
   {
     // Scopes the re-fold so that the first entry re-applied shares the
     // view's checkpoint as its own pre-state instead of copying it again.
@@ -268,17 +284,26 @@ Status Catalog::DropView(std::string_view name) {
 }
 
 Result<CollapseReport> Catalog::Collapse() {
+  // A view's sources stay too: its ViewDef names them.
   std::set<TypeId> keep;
-  for (const ViewDef& def : views_) keep.insert(def.derived);
-  return Logged(std::string(kCollapseOpText),
-                [&] { return CollapseEmptySurrogates(schema_, keep); });
+  for (const ViewDef& def : views_) {
+    keep.insert({def.derived, def.source, def.source2});
+  }
+  Result<CollapseReport> report =
+      Logged(std::string(kCollapseOpText),
+             [&] { return CollapseEmptySurrogates(schema_, keep); });
+  if (report.ok() && !report->new_ids.empty()) {
+    for (ViewDef& def : views_) {
+      RenumberView(def, [&](TypeId t) { return report->new_ids[t]; });
+    }
+  }
+  return report;
 }
 
 size_t Catalog::LiveSurrogateCount() const {
   size_t n = 0;
   for (TypeId t = 0; t < schema_.types().NumTypes(); ++t) {
-    const Type& type = schema_.types().type(t);
-    if (type.kind() == TypeKind::kSurrogate && !type.detached()) ++n;
+    if (schema_.types().type(t).is_surrogate()) ++n;
   }
   return n;
 }

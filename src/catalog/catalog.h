@@ -126,17 +126,23 @@ class Catalog {
   // view, or its op text, and the cause), or when the schema was edited
   // outside the log at or after the view (a re-fold cannot repeat that).
   //
-  // Type ids: the types the view created are gone, and the types that
-  // entries after it created are re-created with new ids. A caller holding
-  // TypeIds of such types (an ObjectStore, a materialized view) re-resolves
-  // them by name. Types that existed before the view keep their ids.
+  // Type ids: the types the view created are gone, the types that entries
+  // after it created are re-created with new ids, and a Collapse after it
+  // may renumber any type. A caller holding TypeIds (an ObjectStore, a
+  // materialized view) re-resolves them by name after a drop. The catalog's
+  // own ViewDefs always name their types in schema().
   Status DropView(std::string_view name);
 
-  // Collapses empty surrogates, keeping every registered view type.
+  // Collapses empty surrogates, keeping every registered view's type and
+  // source types. The collapsed types are removed and the others
+  // renumbered in their old order, so a caller holding TypeIds re-resolves
+  // them by name (or through the report's `new_ids`) after a Collapse that
+  // removed types. A Collapse that finds nothing to collapse changes
+  // nothing and logs nothing.
   Result<CollapseReport> Collapse();
 
-  // Count of live (non-detached) surrogate types — the metric of the
-  // views-over-views experiment.
+  // Count of surrogate types — the metric of the views-over-views
+  // experiment.
   size_t LiveSurrogateCount() const;
 
  private:
@@ -147,7 +153,8 @@ class Catalog {
   // checkpoint, and registers `def`.
   Result<const ViewDef*> CommitView(SchemaTransaction& txn, ViewDef def,
                                     std::string op);
-  // Runs a non-view op and, when the log is non-empty, appends its entry.
+  // Runs a non-view op and, when the log is non-empty and the op changed
+  // the schema, appends its entry.
   template <typename Fn>
   auto Logged(std::string op, Fn&& apply) -> decltype(apply());
 

@@ -27,13 +27,13 @@ class TdlEmitter {
  private:
   bool IsBaseType(TypeId t) const {
     const Type& type = schema_.types().type(t);
-    return type.kind() == TypeKind::kUser && !type.detached();
+    return type.kind() == TypeKind::kUser;
   }
 
   Status CheckExportable() {
     for (TypeId t = 0; t < schema_.types().NumTypes(); ++t) {
       const Type& type = schema_.types().type(t);
-      if (type.is_surrogate() && !type.detached()) {
+      if (type.is_surrogate()) {
         return Status::FailedPrecondition(
             "schema contains surrogate '" + schema_.types().TypeName(t) +
             "'; TDL cannot express it");

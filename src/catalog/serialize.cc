@@ -421,7 +421,6 @@ std::string SerializeSchema(const Schema& schema) {
     if (type.surrogate_source() != kInvalidType) {
       out << " source=" << graph.TypeName(type.surrogate_source());
     }
-    if (type.detached()) out << " detached";
     out << "\n";
   }
   for (TypeId t = 0; t < graph.NumTypes(); ++t) {
@@ -498,7 +497,15 @@ Result<Schema> DeserializeSchema(std::string_view text) {
                                  schema.types().FindType(extra.substr(7)));
           schema.types().mutable_type(id).set_surrogate_source(src);
         } else if (extra == "detached") {
-          schema.types().mutable_type(id).set_detached(true);
+          // Collapse removes the types it splices out, so this build cannot
+          // reproduce such a schema's ids or its catalog's fold.
+          return Status::ParseError(
+              "type '" + name +
+              "' is marked detached: this schema was written by a build "
+              "whose Collapse kept the types it spliced out, and it is no "
+              "longer read. To move the data, open the database with the "
+              "previous build, run `tyderc --db <dir> --export`, and seed a "
+              "new database from that TDL");
         }
       }
     } else if (cmd == "super") {

@@ -1,11 +1,11 @@
 // Schema (de)serialization: a deterministic, line-oriented text format that
-// round-trips everything — types (including surrogates and detached nodes),
-// precedence-ordered supertype edges, attributes, generic functions, methods,
-// and method bodies (as s-expressions). Ids are stable across a round trip,
-// so serialized schemas can be diffed structurally (catalog/diff.h).
+// round-trips everything — types (including surrogates), precedence-ordered
+// supertype edges, attributes, generic functions, methods, and method bodies
+// (as s-expressions). Ids are stable across a round trip, so serialized
+// schemas can be diffed structurally (catalog/diff.h).
 //
 //   tyder-schema v1
-//   type <name> builtin|user|surrogate [source=<type>] [detached]
+//   type <name> builtin|user|surrogate [source=<type>]
 //   super <sub> <super>              # one line per edge, precedence order
 //   attr <name> <value-type> <owner>
 //   gf <name> <arity>
@@ -27,7 +27,10 @@ namespace tyder {
 std::string SerializeSchema(const Schema& schema);
 
 // Parses text produced by SerializeSchema into a fresh schema (builtins are
-// re-installed, then user content replayed) and validates the result.
+// re-installed, then user content replayed) and validates the result. Text
+// from builds whose Collapse kept the types it spliced out (marked with a
+// trailing type token) is refused with a ParseError that says how to move
+// the data.
 Result<Schema> DeserializeSchema(std::string_view text);
 
 // --- checksummed snapshot envelope ------------------------------------------

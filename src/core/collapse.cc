@@ -34,20 +34,19 @@ bool CollapsibleWith(const Schema& schema, TypeId t,
                      const std::set<TypeId>& keep,
                      const std::set<TypeId>& referenced) {
   const Type& type = schema.types().type(t);
-  return type.kind() == TypeKind::kSurrogate && !type.detached() &&
+  return type.kind() == TypeKind::kSurrogate &&
          type.local_attributes().empty() && keep.count(t) == 0 &&
          referenced.count(t) == 0;
 }
 
 // Splices `t` out: every direct subtype replaces its edge to `t` with `t`'s
 // supertypes (in order, at the same precedence position, skipping ones it
-// already has), then `t` is detached.
+// already has).
 void Splice(Schema& schema, TypeId t) {
   std::vector<TypeId> supers = schema.types().type(t).supertypes();
   for (TypeId sub = 0; sub < schema.types().NumTypes(); ++sub) {
-    if (sub == t) continue;
+    if (sub == t || !schema.types().type(sub).HasDirectSupertype(t)) continue;
     Type& sub_type = schema.types().mutable_type(sub);
-    if (!sub_type.HasDirectSupertype(t)) continue;
     // Find t's precedence position, remove it, insert t's supers there.
     const std::vector<TypeId>& list = sub_type.supertypes();
     size_t pos = static_cast<size_t>(
@@ -60,11 +59,6 @@ void Splice(Schema& schema, TypeId t) {
       ++insert_at;
     }
   }
-  Type& type = schema.types().mutable_type(t);
-  while (!type.supertypes().empty()) {
-    type.RemoveSupertype(type.supertypes().front());
-  }
-  type.set_detached(true);
 }
 
 }  // namespace
@@ -76,26 +70,31 @@ bool IsCollapsible(const Schema& schema, TypeId t,
 
 Result<CollapseReport> CollapseEmptySurrogates(Schema& schema,
                                                const std::set<TypeId>& keep) {
-  // All-or-nothing: a failure mid-fixpoint (or a final validation failure)
+  // A splice edits only edges, and collapsibility reads none, so one pass
+  // finds every surrogate the collapse removes.
+  std::set<TypeId> referenced = ReferencedTypes(schema);
+  std::vector<bool> removed(schema.types().NumTypes(), false);
+  bool any = false;
+  for (TypeId t = 0; t < schema.types().NumTypes(); ++t) {
+    if (CollapsibleWith(schema, t, keep, referenced)) removed[t] = any = true;
+  }
+  CollapseReport report;
+  if (!any) return report;
+
+  // All-or-nothing: a failure mid-splice (or a final validation failure)
   // rolls the schema back to its pre-call state.
   SchemaTransaction txn(schema);
   TYDER_FAULT_POINT("collapse.before");
-  CollapseReport report;
-  // Referenced-type set is collapse-invariant (collapse edits only edges),
-  // so one computation serves the whole fixpoint loop.
-  std::set<TypeId> referenced = ReferencedTypes(schema);
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (TypeId t = 0; t < schema.types().NumTypes(); ++t) {
-      if (!CollapsibleWith(schema, t, keep, referenced)) continue;
-      Splice(schema, t);
-      report.collapsed.push_back(t);
-      changed = true;
-      // Mid-phase failure site: this surrogate already spliced out.
-      TYDER_FAULT_POINT("collapse.mid");
-    }
+  // In id order: a type spliced later sees the edges an earlier splice
+  // rewired, so no surviving type is left listing a removed one.
+  for (TypeId t = 0; t < schema.types().NumTypes(); ++t) {
+    if (!removed[t]) continue;
+    Splice(schema, t);
+    report.collapsed.push_back(schema.types().TypeName(t));
+    // Mid-phase failure site: this surrogate already spliced out.
+    TYDER_FAULT_POINT("collapse.mid");
   }
+  report.new_ids = schema.RemoveTypes(removed);
   TYDER_RETURN_IF_ERROR(schema.Validate());
   TYDER_RETURN_IF_ERROR(txn.Commit());
   return report;

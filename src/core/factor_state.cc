@@ -123,7 +123,6 @@ class Factorizer {
   TypeId ExactSurrogateAbove(TypeId t, const std::set<AttrId>& attrs) const {
     for (TypeId s : schema_.types().type(t).supertypes()) {
       if (schema_.types().type(s).kind() != TypeKind::kSurrogate) continue;
-      if (schema_.types().type(s).detached()) continue;
       std::vector<AttrId> cumulative = schema_.types().CumulativeAttributes(s);
       if (cumulative.size() != attrs.size()) continue;
       if (std::set<AttrId>(cumulative.begin(), cumulative.end()) == attrs) {

@@ -22,9 +22,6 @@ Status ValidateSpec(const Schema& schema, const ProjectionSpec& spec) {
     return Status::InvalidArgument("cannot project over builtin type '" +
                                    graph.TypeName(spec.source) + "'");
   }
-  if (graph.type(spec.source).detached()) {
-    return Status::FailedPrecondition("source type was collapsed");
-  }
   if (spec.attributes.empty()) {
     return Status::InvalidArgument("projection list must be non-empty");
   }

@@ -15,9 +15,6 @@ Result<ObjectId> ObjectStore::CreateObject(const Schema& schema, TypeId type) {
   if (type >= schema.types().NumTypes()) {
     return Status::InvalidArgument("type id out of range");
   }
-  if (schema.types().type(type).detached()) {
-    return Status::FailedPrecondition("cannot instantiate a collapsed type");
-  }
   Object obj;
   obj.type = type;
   for (AttrId a : schema.types().CumulativeAttributes(type)) {

@@ -37,8 +37,6 @@ struct Method {
   std::vector<Symbol> param_names;
 };
 
-const char* MethodKindName(MethodKind kind);
-
 }  // namespace tyder
 
 #endif  // TYDER_METHODS_METHOD_H_

@@ -136,11 +136,28 @@ MethodId Schema::MutatorOf(AttrId attr) const {
   return it == mutators_.end() ? kInvalidMethod : it->second;
 }
 
-std::vector<MethodId> Schema::AllMethods() const {
-  std::vector<MethodId> out;
-  out.reserve(methods_.size());
-  for (MethodId id = 0; id < methods_.size(); ++id) out.push_back(id);
-  return out;
+std::vector<TypeId> Schema::RemoveTypes(const std::vector<bool>& removed) {
+  std::vector<TypeId> new_id = types_.RemoveTypes(removed);
+  // Ids outside the old table stay as they are: AddMethod range-checks
+  // only formals, so a result type or a body declaration can hold one.
+  auto renumber = [&new_id](TypeId t) {
+    return t < new_id.size() ? new_id[t] : t;
+  };
+  auto renumber_decl = [&renumber](const ExprPtr& e) -> ExprPtr {
+    if (e->kind != ExprKind::kDecl || renumber(e->decl_type) == e->decl_type) {
+      return e;
+    }
+    auto copy = std::make_shared<Expr>(*e);
+    copy->decl_type = renumber(e->decl_type);
+    return copy;
+  };
+  for (Method& m : methods_) {
+    for (TypeId& t : m.sig.params) t = renumber(t);
+    m.sig.result = renumber(m.sig.result);
+    if (m.body != nullptr) m.body = RewriteBottomUp(m.body, renumber_decl);
+  }
+  ++version_;
+  return new_id;
 }
 
 Status Schema::Validate() const {

@@ -74,8 +74,13 @@ class Schema {
   MethodId ReaderOf(AttrId attr) const;
   MethodId MutatorOf(AttrId attr) const;
 
-  // All methods of every generic function, in registration order.
-  std::vector<MethodId> AllMethods() const;
+  // Deletes every type t with removed[t] set and renumbers the others in
+  // their old order (TypeGraph::RemoveTypes), rewriting method signatures
+  // and body declarations to the new ids. No signature or declaration may
+  // mention a deleted type, and no builtin may be deleted: builtins hold the
+  // lowest ids, so theirs stand. Returns each old id's new id, kInvalidType
+  // for a deleted type.
+  std::vector<TypeId> RemoveTypes(const std::vector<bool>& removed);
 
   // Cross-checks the whole schema: type graph validity plus method/gf index
   // consistency and accessor well-formedness.

@@ -6,10 +6,6 @@
 #ifndef TYDER_OBJMODEL_ATTRIBUTE_H_
 #define TYDER_OBJMODEL_ATTRIBUTE_H_
 
-#include <cstdint>
-#include <string>
-#include <string_view>
-
 #include "common/ids.h"
 #include "common/symbol.h"
 
@@ -22,10 +18,6 @@ struct AttributeDef {
   // attributes between a type and its surrogate by re-homing the owner.
   TypeId owner = kInvalidType;
 };
-
-// "name: ValueTypeName" (value type name resolved by the caller).
-std::string AttributeToString(const AttributeDef& attr,
-                              std::string_view value_type_name);
 
 }  // namespace tyder
 

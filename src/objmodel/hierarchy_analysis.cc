@@ -44,11 +44,7 @@ HierarchyStats AnalyzeHierarchy(const TypeGraph& graph) {
 
   for (TypeId t = 0; t < graph.NumTypes(); ++t) {
     const Type& type = graph.type(t);
-    if (type.detached()) {
-      ++stats.detached_types;
-      continue;
-    }
-    ++stats.live_types;
+    ++stats.types;
     switch (type.kind()) {
       case TypeKind::kBuiltin: ++stats.builtin_types; break;
       case TypeKind::kUser: ++stats.user_types; break;
@@ -71,10 +67,9 @@ HierarchyStats AnalyzeHierarchy(const TypeGraph& graph) {
 
 std::string HierarchyStatsToString(const HierarchyStats& stats) {
   std::ostringstream out;
-  out << "types: " << stats.live_types << " live (" << stats.builtin_types
+  out << "types: " << stats.types << " (" << stats.builtin_types
       << " builtin, " << stats.user_types << " user, "
-      << stats.surrogate_types << " surrogate), " << stats.detached_types
-      << " detached\n";
+      << stats.surrogate_types << " surrogate)\n";
   out << "edges: " << stats.edges << ", roots: " << stats.roots
       << ", max depth: " << stats.max_depth << "\n";
   out << "max fan-in: " << stats.max_fan_in
@@ -88,7 +83,6 @@ std::string HierarchyStatsToString(const HierarchyStats& stats) {
 std::vector<TypeId> TypesWithoutC3Order(const TypeGraph& graph) {
   std::vector<TypeId> out;
   for (TypeId t = 0; t < graph.NumTypes(); ++t) {
-    if (graph.type(t).detached()) continue;
     if (!HasC3Linearization(graph, t)) out.push_back(t);
   }
   return out;

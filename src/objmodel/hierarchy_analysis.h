@@ -15,19 +15,18 @@
 namespace tyder {
 
 struct HierarchyStats {
-  size_t live_types = 0;       // non-detached
+  size_t types = 0;
   size_t builtin_types = 0;
   size_t user_types = 0;
   size_t surrogate_types = 0;
-  size_t detached_types = 0;
-  size_t edges = 0;            // direct supertype links among live types
-  size_t roots = 0;            // live types with no supertypes
+  size_t edges = 0;            // direct supertype links
+  size_t roots = 0;            // types with no supertypes
   size_t max_depth = 0;        // longest subtype->supertype path
   size_t max_fan_in = 0;       // most direct supertypes on one type
   size_t max_fan_out = 0;      // most direct subtypes under one type
   size_t diamond_types = 0;    // types with >= 2 distinct paths to some ancestor
   size_t attributes = 0;
-  size_t empty_types = 0;      // live types with no local attributes
+  size_t empty_types = 0;      // types with no local attributes
 };
 
 HierarchyStats AnalyzeHierarchy(const TypeGraph& graph);

@@ -7,7 +7,6 @@ namespace tyder {
 namespace {
 
 bool SkipType(const TypeGraph& graph, TypeId t, const PrintOptions& opts) {
-  if (graph.type(t).detached()) return true;  // collapsed husks
   return !opts.include_builtins && graph.type(t).kind() == TypeKind::kBuiltin;
 }
 

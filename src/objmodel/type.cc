@@ -24,6 +24,10 @@ bool Type::RemoveSupertype(TypeId t) {
   return true;
 }
 
+void Type::RenumberSupertypes(const std::vector<TypeId>& new_id) {
+  for (TypeId& s : supertypes_) s = new_id[s];
+}
+
 bool Type::RemoveLocalAttribute(AttrId a) {
   auto it = std::find(local_attrs_.begin(), local_attrs_.end(), a);
   if (it == local_attrs_.end()) return false;

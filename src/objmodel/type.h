@@ -42,6 +42,8 @@ class Type {
   // Removes the first occurrence of `t` from the supertype list; returns
   // whether it was present.
   bool RemoveSupertype(TypeId t);
+  // Replaces each supertype id s with new_id[s] (TypeGraph::RemoveTypes).
+  void RenumberSupertypes(const std::vector<TypeId>& new_id);
 
   // Locally defined attributes, in declaration order.
   const std::vector<AttrId>& local_attributes() const { return local_attrs_; }
@@ -52,18 +54,12 @@ class Type {
   TypeId surrogate_source() const { return surrogate_source_; }
   void set_surrogate_source(TypeId t) { surrogate_source_ = t; }
 
-  // Detached types have been spliced out of the hierarchy (empty-surrogate
-  // collapse); they keep their id but participate in nothing.
-  bool detached() const { return detached_; }
-  void set_detached(bool detached) { detached_ = detached; }
-
  private:
   Symbol name_;
   TypeKind kind_;
   std::vector<TypeId> supertypes_;
   std::vector<AttrId> local_attrs_;
   TypeId surrogate_source_ = kInvalidType;
-  bool detached_ = false;
 };
 
 }  // namespace tyder

@@ -188,6 +188,38 @@ Status TypeGraph::MoveAttribute(AttrId a, TypeId new_owner) {
   return Status::OK();
 }
 
+std::vector<TypeId> TypeGraph::RemoveTypes(const std::vector<bool>& removed) {
+  std::vector<TypeId> new_id(types_.size(), kInvalidType);
+  std::vector<Type> kept;
+  kept.reserve(types_.size());
+  for (TypeId t = 0; t < types_.size(); ++t) {
+    if (removed[t]) continue;
+    new_id[t] = static_cast<TypeId>(kept.size());
+    kept.push_back(std::move(types_[t]));
+  }
+  type_index_.clear();
+  for (TypeId t = 0; t < kept.size(); ++t) {
+    Type& type = kept[t];
+    type.RenumberSupertypes(new_id);
+    // A surrogate is declared after its source, so the chain of sources
+    // descends in id and ends at a surviving type or at none.
+    TypeId source = type.surrogate_source();
+    while (source != kInvalidType && removed[source]) {
+      source = types_[source].surrogate_source();
+    }
+    type.set_surrogate_source(source == kInvalidType ? kInvalidType
+                                                     : new_id[source]);
+    type_index_.emplace(type.name(), t);
+  }
+  types_ = std::move(kept);
+  for (AttributeDef& attr : attrs_) {
+    attr.owner = new_id[attr.owner];
+    attr.value_type = new_id[attr.value_type];
+  }
+  Invalidate();
+  return new_id;
+}
+
 Result<TypeId> TypeGraph::FindType(std::string_view name) const {
   auto it = type_index_.find(Symbol::Intern(name));
   if (it == type_index_.end()) {

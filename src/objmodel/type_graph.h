@@ -58,6 +58,14 @@ class TypeGraph {
   // FactorState when moving state to a surrogate).
   Status MoveAttribute(AttrId a, TypeId new_owner);
 
+  // Deletes every type t with removed[t] set and renumbers the others in
+  // their old order. Returns each old id's new id, kInvalidType for a
+  // deleted type. A deleted type must own no attribute, type no attribute
+  // and be no surviving type's direct supertype (empty-surrogate collapse
+  // splices it out first). A surviving surrogate whose source is deleted
+  // takes that source's nearest surviving source instead.
+  std::vector<TypeId> RemoveTypes(const std::vector<bool>& removed);
+
   // --- lookup --------------------------------------------------------------
 
   size_t NumTypes() const { return types_.size(); }

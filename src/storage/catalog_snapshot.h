@@ -15,10 +15,13 @@
 //   fold <crc32c>               # CRC32C of SerializeSchema(folded schema)
 //
 // ExportTdl is deliberately NOT used for the base: a TDL round trip is lossy
-// (detached types vanish, generic-function id order can shift).
+// (surrogates vanish, generic-function id order can shift).
 //
 // v1 payloads (a folded schema plus per-view derivation records) are refused
-// with a ParseError that says how to move the data (see the .cc).
+// with a ParseError that says how to move the data (see the .cc), and so is
+// a base written by a build whose Collapse kept the types it spliced out
+// (catalog/serialize.h). A v2 payload whose log holds such a Collapse
+// re-folds to a schema without those types, so its `fold` CRC refuses it.
 
 #ifndef TYDER_STORAGE_CATALOG_SNAPSHOT_H_
 #define TYDER_STORAGE_CATALOG_SNAPSHOT_H_

@@ -90,10 +90,9 @@ TEST_F(CatalogTest, CollapseKeepsViewTypes) {
   auto report = catalog_->Collapse();
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_LE(catalog_->LiveSurrogateCount(), before);
-  // View types survive.
+  // View types survive, and each ViewDef still names its own.
   for (const ViewDef& def : catalog_->views()) {
-    EXPECT_FALSE(catalog_->schema().types().type(def.derived).detached())
-        << def.name;
+    EXPECT_EQ(catalog_->schema().types().TypeName(def.derived), def.name);
   }
 }
 
@@ -318,11 +317,15 @@ TEST_F(PayrollDropTest, DroppedNameIsDefinedAgain) {
   EXPECT_EQ(SerializeSchema(catalog_->schema()), s1);
 }
 
-// A long-lived catalog stays stationary under define/drop churn: every
-// cycle ends where the first one did, and a define costs what it did then.
+// A long-lived catalog stays stationary under define/collapse/drop churn:
+// every cycle ends where the first one did, in types, log entries and
+// snapshot bytes, and a define costs what it did then. Staff stays defined
+// throughout, so the log is never empty: an op that changed nothing but
+// stayed logged would grow it.
 TEST_F(PayrollDropTest, FiveHundredDefineDropCyclesStayStationary) {
   using Clock = std::chrono::steady_clock;
-  size_t types = 0, serialized = 0;
+  ASSERT_TRUE(Project("Staff", "Person", {"SSN", "name"}).ok());
+  size_t types = 0, log_entries = 0, serialized = 0;
   std::vector<std::string> views_after_define;
   double first_define_us = 0, last_define_us = 0;
   for (int cycle = 1; cycle <= 500; ++cycle) {
@@ -332,24 +335,144 @@ TEST_F(PayrollDropTest, FiveHundredDefineDropCyclesStayStationary) {
                     .ok());
     double define_us =
         std::chrono::duration<double, std::micro>(Clock::now() - start).count();
+    ASSERT_TRUE(Project("PayView", "Employee", {"SSN", "pay_rate"}).ok());
+    ASSERT_TRUE(catalog_->Collapse().ok());
     std::vector<std::string> names;
     for (const ViewDef& def : catalog_->views()) names.push_back(def.name);
     ASSERT_TRUE(catalog_->DropView("EmployeeView").ok());
+    ASSERT_TRUE(catalog_->DropView("PayView").ok());
     if (cycle == 1) {
       types = catalog_->schema().types().NumTypes();
+      log_entries = catalog_->log().size();
       serialized = storage::SerializeCatalog(*catalog_).size();
       views_after_define = names;
       first_define_us = define_us;
     }
     ASSERT_EQ(catalog_->schema().types().NumTypes(), types)
         << "cycle " << cycle;
+    ASSERT_EQ(catalog_->log().size(), log_entries) << "cycle " << cycle;
+    ASSERT_EQ(storage::SerializeCatalog(*catalog_).size(), serialized)
+        << "cycle " << cycle;
     ASSERT_EQ(names, views_after_define) << "cycle " << cycle;
     last_define_us = define_us;
   }
-  EXPECT_EQ(storage::SerializeCatalog(*catalog_).size(), serialized);
-  EXPECT_TRUE(catalog_->views().empty());
+  ASSERT_EQ(catalog_->views().size(), 1u);
+  EXPECT_EQ(catalog_->views()[0].name, "Staff");
   std::printf("define: cycle 1 %.0f us, cycle 500 %.0f us\n", first_define_us,
               last_define_us);
+}
+
+// An op that changes nothing leaves no log entry.
+TEST_F(PayrollDropTest, CollapsesThatCollapseNothingAreNotLogged) {
+  ASSERT_TRUE(Project("Staff", "Person", {"SSN", "name"}).ok());
+  ASSERT_TRUE(catalog_->Collapse().ok());  // whatever Staff left empty
+  std::vector<std::string> ops;
+  for (const CatalogLogEntry& entry : catalog_->log()) ops.push_back(entry.op);
+  std::string before = storage::SerializeCatalog(*catalog_);
+  for (int i = 0; i < 3; ++i) {
+    auto report = catalog_->Collapse();
+    ASSERT_TRUE(report.ok()) << report.status();
+    EXPECT_TRUE(report->collapsed.empty());
+  }
+  std::vector<std::string> after;
+  for (const CatalogLogEntry& entry : catalog_->log()) after.push_back(entry.op);
+  EXPECT_EQ(after, ops);
+  EXPECT_EQ(storage::SerializeCatalog(*catalog_), before);
+}
+
+// --- collapse compaction ------------------------------------------------------
+//
+// Example 1 after its projection leaves ~F empty and unreferenced
+// (collapse_test.cc): a Collapse removes it from the type table.
+
+class CollapseCompactionTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    auto fx = testing::BuildExample1();
+    ASSERT_TRUE(fx.ok()) << fx.status();
+    for (AttrId a : fx->Projection()) {
+      projection_.push_back(fx->schema.types().attribute(a).name.str());
+    }
+    catalog_ = std::make_unique<Catalog>(std::move(fx->schema));
+    ASSERT_TRUE(catalog_->DefineProjectionView("W1", "A", projection_).ok());
+  }
+
+  // Each view's recorded type ids name its types in the current schema.
+  void ExpectViewsResolve() const {
+    const TypeGraph& types = catalog_->schema().types();
+    for (const ViewDef& def : catalog_->views()) {
+      Result<TypeId> derived = types.FindType(def.name);
+      ASSERT_TRUE(derived.ok()) << def.name;
+      EXPECT_EQ(*derived, def.derived) << def.name;
+    }
+  }
+
+  std::vector<std::string> projection_;
+  std::unique_ptr<Catalog> catalog_;
+};
+
+TEST_F(CollapseCompactionTest, CollapseRemovesTheEmptiedSurrogate) {
+  size_t types = catalog_->schema().types().NumTypes();
+  auto report = catalog_->Collapse();
+  ASSERT_TRUE(report.ok()) << report.status();
+  EXPECT_EQ(report->collapsed, (std::vector<std::string>{"~F"}));
+  EXPECT_EQ(catalog_->schema().types().NumTypes(),
+            types - report->collapsed.size());
+  EXPECT_EQ(catalog_->schema().types().FindType("~F").status().code(),
+            StatusCode::kNotFound);
+  ExpectViewsResolve();
+}
+
+// A removed type cannot be named again: a base edit that names it is
+// refused, and the catalog is left as it was.
+TEST_F(CollapseCompactionTest, BaseEditsNamingARemovedTypeAreRefused) {
+  ASSERT_TRUE(catalog_->Collapse().ok());
+  std::string before = storage::SerializeCatalog(*catalog_);
+  size_t log_entries = catalog_->log().size();
+  EXPECT_EQ(catalog_->DeclareType("Z", {"~F"}).status().code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(catalog_->DeclareAttribute("~F", "z1", "Int").status().code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(catalog_->AddSupertype("A", "~F").code(), StatusCode::kNotFound);
+  EXPECT_EQ(storage::SerializeCatalog(*catalog_), before);
+  EXPECT_EQ(catalog_->log().size(), log_entries);
+  EXPECT_FALSE(catalog_->schema().types().FindType("Z").ok());
+}
+
+TEST_F(CollapseCompactionTest, SnapshotRoundTripsAfterACompaction) {
+  auto report = catalog_->Collapse();
+  ASSERT_TRUE(report.ok()) << report.status();
+  ASSERT_FALSE(report->collapsed.empty());
+  std::string text = storage::SerializeCatalog(*catalog_);
+  Result<Catalog> loaded = storage::DeserializeCatalog(text);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  EXPECT_EQ(storage::SerializeCatalog(*loaded), text);
+}
+
+// A drop whose checkpoint predates a Collapse that renumbered the views it
+// keeps: the re-fold must see those views under the checkpoint's ids, or
+// the re-applied Collapse would not keep them.
+TEST_F(CollapseCompactionTest, DropBeforeACompactionKeepsEarlierViews) {
+  // W2 repeats W1's projection, so it sits on W1 with no state of its own:
+  // only `keep` stops a Collapse from removing it.
+  ASSERT_TRUE(catalog_->DefineProjectionView("W2", "A", projection_).ok());
+  ASSERT_TRUE(catalog_->DefineProjectionView("V", "B", {"b1"}).ok());
+  TypeId w2 = (*catalog_->FindView("W2"))->derived;
+  TypeId f_surrogate = *catalog_->schema().types().FindType("~F");
+  ASSERT_LT(f_surrogate, w2);
+  auto report = catalog_->Collapse();
+  ASSERT_TRUE(report.ok()) << report.status();
+  ASSERT_LT((*catalog_->FindView("W2"))->derived, w2);
+  ExpectViewsResolve();
+
+  Status dropped = catalog_->DropView("V");
+  ASSERT_TRUE(dropped.ok()) << dropped;
+  ASSERT_EQ(catalog_->views().size(), 2u);
+  ExpectViewsResolve();
+  ASSERT_TRUE(catalog_->Collapse().ok());
+  ExpectViewsResolve();
+  Status oracle = oracle::CheckSchemaAgainstOracle(catalog_->schema());
+  EXPECT_TRUE(oracle.ok()) << oracle;
 }
 
 TEST_F(CatalogTest, CreateMakesEmptyCatalog) {

@@ -117,6 +117,32 @@ TEST(SerializeTest, UnknownDirectiveRejected) {
   EXPECT_FALSE(DeserializeSchema("tyder-schema v1\nbogus line\n").ok());
 }
 
+// Builds whose Collapse kept the types it spliced out marked them with a
+// trailing `detached` token. Such text is refused, not read, and the refusal
+// says how to move the data.
+TEST(SerializeTest, DetachedTypeTokenRefusedWithMigrationSteps) {
+  auto fx = testing::BuildExample1();
+  ASSERT_TRUE(fx.ok());
+  ProjectionSpec spec;
+  spec.source = fx->a;
+  spec.attributes = {fx->a2, fx->e2, fx->h2};
+  spec.view_name = "ProjA";
+  ASSERT_TRUE(DeriveProjection(fx->schema, spec).ok());
+  std::string text = SerializeSchema(fx->schema);
+  const std::string line = "type ~F surrogate source=F\n";
+  size_t at = text.find(line);
+  ASSERT_NE(at, std::string::npos) << text;
+  text.insert(at + line.size() - 1, " detached");
+  Result<Schema> refused = DeserializeSchema(text);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kParseError);
+  const std::string& why = refused.status().message();
+  EXPECT_NE(why.find("'~F'"), std::string::npos) << why;
+  EXPECT_NE(why.find("previous build"), std::string::npos) << why;
+  EXPECT_NE(why.find("tyderc --db <dir> --export"), std::string::npos) << why;
+  EXPECT_NE(why.find("seed a new database"), std::string::npos) << why;
+}
+
 TEST(SerializeTest, MalformedBodyRejected) {
   auto fx = testing::BuildPersonEmployee();
   ASSERT_TRUE(fx.ok());

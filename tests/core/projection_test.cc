@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "catalog/catalog.h"
-#include "catalog/serialize.h"
 #include "core/verify.h"
 #include "methods/applicability.h"
 #include "objmodel/schema_printer.h"
@@ -212,47 +210,6 @@ TEST(ProjectionTest, ExplicitVerifyReportCleanForSimpleExample) {
   ASSERT_TRUE(result.ok());
   VerifyReport report = VerifyDerivation(before, fx->schema, *result);
   EXPECT_TRUE(report.ok()) << report.ToString();
-}
-
-// Collapse keeps a spliced-out surrogate in the graph, detached (type ids
-// stay stable). The derivation pipeline refuses it as a source up front,
-// leaving the schema byte-identical, and a live source still derives
-// afterwards.
-TEST(ProjectionTest, DetachedSourceIsRefused) {
-  auto fx = testing::BuildExample1();
-  ASSERT_TRUE(fx.ok()) << fx.status();
-  const TypeGraph& g = fx->schema.types();
-  std::vector<std::string> attr_names;
-  for (AttrId a : fx->Projection()) {
-    attr_names.push_back(g.attribute(a).name.str());
-  }
-  Catalog catalog(std::move(fx->schema));
-  auto view = catalog.DefineProjectionView(
-      "PV", catalog.schema().types().TypeName(fx->a), attr_names);
-  ASSERT_TRUE(view.ok()) << view.status();
-  // Deriving PV leaves F's surrogate empty and unreferenced (collapse_test).
-  TypeId stale = *catalog.schema().types().FindType("~F");
-  ASSERT_TRUE(catalog.Collapse().ok());
-  ASSERT_TRUE(catalog.schema().types().type(stale).detached());
-
-  Schema& schema = catalog.schema();
-  std::string pre = SerializeSchema(schema);
-  ProjectionSpec detached;
-  detached.source = stale;
-  detached.attributes = {fx->a2};
-  detached.view_name = "Zombie";
-  Result<DerivationResult> refused = DeriveProjection(schema, detached);
-  ASSERT_FALSE(refused.ok());
-  EXPECT_EQ(refused.status().code(), StatusCode::kFailedPrecondition);
-  EXPECT_EQ(SerializeSchema(schema), pre);
-  EXPECT_FALSE(schema.types().FindType("Zombie").ok());
-
-  ProjectionSpec live;
-  live.source = fx->a;
-  live.attributes = {fx->a2, fx->e2};
-  live.view_name = "LiveView";
-  Result<DerivationResult> derived = DeriveProjection(schema, live);
-  EXPECT_TRUE(derived.ok()) << derived.status();
 }
 
 }  // namespace

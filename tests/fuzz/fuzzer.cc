@@ -222,14 +222,20 @@ class TraceRunner {
       return Fail("model tracks " + std::to_string(model_.view_order.size()) +
                   " views, catalog has " + std::to_string(views.size()));
     }
+    const TypeGraph& graph = catalog_.schema().types();
     for (size_t i = 0; i < views.size(); ++i) {
       if (views[i].name != model_.view_order[i]) {
         return Fail("view registry order diverged at index " +
                     std::to_string(i) + ": catalog '" + views[i].name +
                     "', model '" + model_.view_order[i] + "'");
       }
+      // A Collapse renumbers types; every ViewDef must follow.
+      if (views[i].derived >= graph.NumTypes() ||
+          graph.TypeName(views[i].derived) != views[i].name) {
+        return Fail("view '" + views[i].name +
+                    "' records a type id that does not name its type");
+      }
     }
-    const TypeGraph& graph = catalog_.schema().types();
     for (const auto& [name, mt] : model_.types) {
       Result<TypeId> tid = graph.FindType(name);
       if (!tid.ok()) {
@@ -384,12 +390,29 @@ class TraceRunner {
                                      expected);
   }
 
+  // Collapse removes exactly the types its report names, none of them a
+  // view or a type the model tracks; CheckStep then finds tracked state
+  // unchanged.
   Status DoCollapse() {
+    size_t pre_types = catalog_.schema().types().NumTypes();
     Result<CollapseReport> r = catalog_.Collapse();
     if (!r.ok()) {
       return Fail("Collapse failed: " + r.status().ToString());
     }
-    return Status::OK();  // collapse must be invisible to tracked state
+    size_t post_types = catalog_.schema().types().NumTypes();
+    if (pre_types - post_types != r->collapsed.size()) {
+      return Fail("Collapse named " + std::to_string(r->collapsed.size()) +
+                  " types but took NumTypes from " +
+                  std::to_string(pre_types) + " to " +
+                  std::to_string(post_types));
+    }
+    for (const std::string& name : r->collapsed) {
+      if (model_.types.count(name) != 0 || catalog_.FindView(name).ok()) {
+        return Fail("Collapse removed '" + name +
+                    "', a view or a type the model tracks");
+      }
+    }
+    return Status::OK();
   }
 
   Status DoDrop(const FuzzOp& op) {

@@ -53,14 +53,18 @@ TEST(ViewsOverViews, CollapseReducesEmptySurrogates) {
   auto chain = BuildChain(4);
   ASSERT_TRUE(chain.ok()) << chain.status();
   size_t before = chain->LiveSurrogateCount();
+  size_t types_before = chain->schema().types().NumTypes();
   auto report = chain->Collapse();
   ASSERT_TRUE(report.ok()) << report.status();
   size_t after = chain->LiveSurrogateCount();
   EXPECT_EQ(before - after, report->collapsed.size());
+  // The collapsed types are gone from the type table.
+  EXPECT_EQ(types_before - chain->schema().types().NumTypes(),
+            report->collapsed.size());
   EXPECT_TRUE(chain->schema().Validate().ok());
   // View types and state are intact after collapsing.
   for (const ViewDef& def : chain->views()) {
-    EXPECT_FALSE(chain->schema().types().type(def.derived).detached());
+    EXPECT_EQ(chain->schema().types().TypeName(def.derived), def.name);
     EXPECT_EQ(chain->schema().types().CumulativeAttributes(def.derived).size(),
               3u);
   }

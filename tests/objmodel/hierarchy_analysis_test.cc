@@ -16,7 +16,6 @@ TEST(HierarchyAnalysisTest, PersonEmployeeStats) {
   EXPECT_EQ(stats.user_types, 2u);
   EXPECT_EQ(stats.builtin_types, 7u);
   EXPECT_EQ(stats.surrogate_types, 0u);
-  EXPECT_EQ(stats.detached_types, 0u);
   // Person and Employee contribute one edge; the five value types hang off
   // Object.
   EXPECT_EQ(stats.edges, 6u);
