@@ -1,7 +1,7 @@
 // Cost of the all-or-nothing machinery (core/transaction.h): what a schema
 // snapshot costs on the happy path, what a rollback costs on the failure
-// path, and that an inactive fault point is free. The snapshot is a
-// structure-only copy — method bodies are shared shared_ptrs — so commit
+// path, and that an inactive fault point is free. The snapshot shares the
+// schema's tables (common/cow.h) and costs reference counts, so commit
 // overhead must stay a small fraction of the derivation it protects.
 
 #include <benchmark/benchmark.h>

@@ -27,9 +27,10 @@
 #
 # The `tsan` mode builds with -DTYDER_SANITIZE=thread (default build dir:
 # build-tsan) and runs the concurrency-sensitive suites — the dispatch-index
-# tests, the subtype-closure cache tests, the oracle and obs stress tests,
-# the epoch catalog, and the server, net fault-matrix and chaos suites —
-# under ThreadSanitizer.
+# tests, the subtype-closure cache tests, the shared schema tables (readers
+# of published epochs against the writer tip), the oracle and obs stress
+# tests, the epoch catalog, and the server, net fault-matrix and chaos
+# suites — under ThreadSanitizer.
 #
 # The `ubsan` mode builds with -DTYDER_SANITIZE=undefined alone (default
 # build dir: build-ubsan) and runs the full tier-1 suite — catches UB that
@@ -136,7 +137,7 @@ if [ "$MODE" = "tsan" ]; then
   cmake --build "$BUILD"
   echo "=== tests (TSan) ==="
   ctest --test-dir "$BUILD" --output-on-failure \
-    -R 'DispatchIndex|SubtypeCache|OracleStress|ObsStress|EpochCatalog|ServerTest|NetFaultMatrix|ChaosTest'
+    -R 'DispatchIndex|SubtypeCache|SchemaSharing|OracleStress|ObsStress|EpochCatalog|ServerTest|NetFaultMatrix|ChaosTest'
   echo "TSAN GREEN"
   exit 0
 fi

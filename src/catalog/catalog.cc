@@ -258,21 +258,14 @@ Status Catalog::DropView(std::string_view name) {
     RenumberView(def,
                  [&](TypeId t) { return *then.FindType(now.TypeName(t)); });
   }
-  {
-    // Scopes the re-fold so that the first entry re-applied shares the
-    // view's checkpoint as its own pre-state instead of copying it again.
-    SchemaTransaction refold(rebuilt.schema_, log_[at].checkpoint);
-    for (size_t i = at + 1; i < log_.size(); ++i) {
-      Status applied = ApplyCatalogOp(rebuilt, log_[i].op);
-      if (!applied.ok()) {
-        (void)refold.Commit();  // `rebuilt` is discarded: nothing to undo
-        return refused(DescribeEntry(log_[i]) +
-                       " after it does not re-apply without it (" +
-                       CauseWithoutSurrogates(applied) + ")");
-      }
-      TYDER_COUNT("catalog.drop_refold_entries");
+  for (size_t i = at + 1; i < log_.size(); ++i) {
+    Status applied = ApplyCatalogOp(rebuilt, log_[i].op);
+    if (!applied.ok()) {
+      return refused(DescribeEntry(log_[i]) +
+                     " after it does not re-apply without it (" +
+                     CauseWithoutSurrogates(applied) + ")");
     }
-    (void)refold.Commit();
+    TYDER_COUNT("catalog.drop_refold_entries");
   }
   // Replacement built, nothing installed: a failure here leaves the catalog
   // exactly as it was.

@@ -117,9 +117,11 @@ class Catalog {
   Status AddSupertype(std::string_view sub, std::string_view super);
 
   // Drops view `name`: restores its checkpoint and re-applies, in order and
-  // each with its recorded verify flag, every log entry after it. Dropping
-  // the newest view is one schema copy. The result is moved into the
-  // existing schema object, so references to schema() stay valid.
+  // each with its recorded verify flag, every log entry after it. The
+  // restored schema shares the checkpoint's tables (methods/schema.h), so
+  // dropping the newest view copies no table; it frees the tables the view's
+  // derivation cloned. The result is moved into the existing schema object,
+  // so references to schema() stay valid.
   //
   // Refused with FailedPrecondition, the catalog untouched, when a later
   // entry does not re-apply without the view (the message names that entry's

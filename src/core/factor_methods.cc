@@ -22,6 +22,8 @@ Result<std::vector<MethodRewrite>> FactorMethods(
   TYDER_FAULT_POINT("factor_methods.before");
   std::vector<MethodRewrite> rewrites;
   for (MethodId m : applicable_methods) {
+    // Read only up to the first write below: SetMethodBody moves the method
+    // table when a snapshot shares it, so later reads re-fetch the method.
     const Method& method = schema.method(m);
     MethodRewrite rw;
     rw.method = m;
@@ -98,16 +100,13 @@ Result<std::vector<MethodRewrite>> FactorMethods(
 
     if (!(rw.new_sig == rw.old_sig)) {
       if (obs::NarrationRequested(trace)) {
+        const Method& rewritten = schema.method(m);
+        std::string_view gf_name = schema.gf(rewritten.gf).name.view();
         obs::Narrate(
-            trace,
-            method.label.str() + ": " +
-                SignatureToString(schema.types(),
-                                  schema.gf(method.gf).name.view(),
-                                  rw.old_sig) +
-                "  =>  " +
-                SignatureToString(schema.types(),
-                                  schema.gf(method.gf).name.view(),
-                                  rw.new_sig));
+            trace, rewritten.label.str() + ": " +
+                       SignatureToString(schema.types(), gf_name, rw.old_sig) +
+                       "  =>  " +
+                       SignatureToString(schema.types(), gf_name, rw.new_sig));
       }
       schema.SetMethodSignature(m, rw.new_sig);
     }

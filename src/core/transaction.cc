@@ -1,7 +1,6 @@
 #include "core/transaction.h"
 
 #include <chrono>
-#include <utility>
 
 #include "obs/obs.h"
 
@@ -17,22 +16,10 @@ thread_local SchemaTransaction* g_innermost = nullptr;
 }  // namespace
 
 SchemaTransaction::SchemaTransaction(Schema& schema)
-    : SchemaTransaction(schema, nullptr) {}
-
-SchemaTransaction::SchemaTransaction(Schema& schema,
-                                     std::shared_ptr<const Schema> pre_state)
     : schema_(schema),
-      snapshot_(std::move(pre_state)),
+      snapshot_(std::make_shared<const Schema>(schema)),
       outer_(g_innermost),
       depth_(outer_ == nullptr ? 1 : outer_->depth_ + 1) {
-  if (snapshot_ == nullptr) {
-    // Every mutation bumps the version, so an unchanged version means the
-    // enclosing transaction's snapshot is exactly today's schema.
-    bool unchanged = outer_ != nullptr && &outer_->schema_ == &schema &&
-                     outer_->snapshot_->version() == schema.version();
-    snapshot_ = unchanged ? outer_->snapshot_
-                          : std::make_shared<const Schema>(schema);
-  }
   g_innermost = this;
   TYDER_COUNT("transaction.begins");
 }

@@ -3,11 +3,13 @@
 // shared type hierarchy, and the paper's guarantee — existing types keep
 // exactly their original state and behavior — is only meaningful if a failed
 // derivation leaves the schema untouched. A SchemaTransaction snapshots the
-// schema on construction (cheap: method bodies are shared shared_ptrs, so a
-// snapshot is a structure-only copy), and unless Commit() is called, its
-// destructor rolls the schema back to that snapshot — so every early return
-// on an error path restores the pre-call schema byte-for-byte (the rolled
-// back schema serializes identically to the snapshot).
+// schema on construction, and unless Commit() is called, its destructor rolls
+// the schema back to that snapshot — so every early return on an error path
+// restores the pre-call schema byte-for-byte (the rolled back schema
+// serializes identically to the snapshot). Both are Schema copies, which
+// share the schema's tables (methods/schema.h): a snapshot costs a handful
+// of reference counts, the transaction's mutators clone only the tables they
+// write, and a rollback frees just those clones.
 //
 // Used by DeriveProjection, CollapseEmptySurrogates and every Catalog view
 // operation; each documents the strong guarantee in its header. A Catalog
@@ -18,9 +20,7 @@
 //
 // Transactions nest naturally: an outer transaction (e.g. a Catalog view
 // definition) simply restores over whatever an inner one (DeriveProjection)
-// already rolled back. An inner transaction that begins before anything
-// changed under the outer one shares the outer snapshot instead of copying
-// the schema again.
+// already rolled back.
 //
 // Durability (src/storage/): a SchemaTransaction is purely in-memory — it
 // commits the writer TIP. The durable catalog sequences the committed op's
@@ -47,9 +47,6 @@ namespace tyder {
 class SchemaTransaction {
  public:
   explicit SchemaTransaction(Schema& schema);
-  // Takes `pre_state`, which the caller knows equals `schema`, as the
-  // snapshot instead of copying `schema`.
-  SchemaTransaction(Schema& schema, std::shared_ptr<const Schema> pre_state);
   // Rolls back unless Commit() succeeded.
   ~SchemaTransaction();
 

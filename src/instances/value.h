@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <variant>
 
 #include "common/ids.h"
@@ -25,11 +26,16 @@ class Value {
  public:
   Value() : v_(std::monostate{}) {}  // void
   static Value Void() { return Value(); }
-  static Value Int(int64_t v) { return Value(Repr(v)); }
-  static Value Float(double v) { return Value(Repr(v)); }
-  static Value Bool(bool v) { return Value(Repr(v)); }
-  static Value String(std::string v) { return Value(Repr(std::move(v))); }
-  static Value Object(ObjectId id) { return Value(Repr(ObjectRef{id})); }
+  // Each builds its alternative in place, with no temporary variant to move.
+  static Value Int(int64_t v) { return Value(std::in_place_type<int64_t>, v); }
+  static Value Float(double v) { return Value(std::in_place_type<double>, v); }
+  static Value Bool(bool v) { return Value(std::in_place_type<bool>, v); }
+  static Value String(std::string v) {
+    return Value(std::in_place_type<std::string>, std::move(v));
+  }
+  static Value Object(ObjectId id) {
+    return Value(std::in_place_type<ObjectRef>, ObjectRef{id});
+  }
 
   bool is_void() const { return std::holds_alternative<std::monostate>(v_); }
   bool is_int() const { return std::holds_alternative<int64_t>(v_); }
@@ -54,7 +60,9 @@ class Value {
  private:
   using Repr =
       std::variant<std::monostate, int64_t, double, bool, std::string, ObjectRef>;
-  explicit Value(Repr v) : v_(std::move(v)) {}
+  template <typename T, typename Arg>
+  Value(std::in_place_type_t<T> tag, Arg&& arg)
+      : v_(tag, std::forward<Arg>(arg)) {}
   Repr v_;
 };
 

@@ -20,7 +20,8 @@ Result<MethodId> MakeReader(Schema& schema, AttrId attr,
   if (attr >= schema.types().NumAttributes()) {
     return Status::InvalidArgument("attribute id out of range");
   }
-  const AttributeDef& def = schema.types().attribute(attr);
+  // A copy: declaring the gf below writes the schema.
+  const AttributeDef def = schema.types().attribute(attr);
   if (formal == kInvalidType) formal = def.owner;
   std::string gf_name = "get_" + base_name;
   TYDER_ASSIGN_OR_RETURN(GfId gf,
@@ -40,7 +41,8 @@ Result<MethodId> MakeMutator(Schema& schema, AttrId attr,
   if (attr >= schema.types().NumAttributes()) {
     return Status::InvalidArgument("attribute id out of range");
   }
-  const AttributeDef& def = schema.types().attribute(attr);
+  // A copy: declaring the gf below writes the schema.
+  const AttributeDef def = schema.types().attribute(attr);
   if (formal == kInvalidType) formal = def.owner;
   std::string gf_name = "set_" + base_name;
   TYDER_ASSIGN_OR_RETURN(GfId gf,

@@ -14,13 +14,13 @@ Result<GfId> Schema::DeclareGenericFunction(std::string_view name, int arity) {
                                    "' must have positive arity");
   }
   Symbol sym = Symbol::Intern(name);
-  if (gf_index_.count(sym) > 0) {
+  if (gf_index_->count(sym) > 0) {
     return Status::AlreadyExists("generic function '" + std::string(name) +
                                  "' already declared");
   }
-  GfId id = static_cast<GfId>(gfs_.size());
-  gfs_.push_back(GenericFunction{sym, arity, {}});
-  gf_index_.emplace(sym, id);
+  GfId id = static_cast<GfId>(NumGenericFunctions());
+  gfs_.Mutable().push_back(GenericFunction{sym, arity, {}});
+  gf_index_.Mutable().emplace(sym, id);
   ++version_;
   return id;
 }
@@ -28,20 +28,20 @@ Result<GfId> Schema::DeclareGenericFunction(std::string_view name, int arity) {
 Result<GfId> Schema::FindOrDeclareGenericFunction(std::string_view name,
                                                   int arity) {
   Symbol sym = Symbol::Intern(name);
-  auto it = gf_index_.find(sym);
-  if (it == gf_index_.end()) return DeclareGenericFunction(name, arity);
-  if (gfs_[it->second].arity != arity) {
+  auto it = gf_index_->find(sym);
+  if (it == gf_index_->end()) return DeclareGenericFunction(name, arity);
+  if (gf(it->second).arity != arity) {
     return Status::InvalidArgument(
         "generic function '" + std::string(name) + "' has arity " +
-        std::to_string(gfs_[it->second].arity) + ", not " +
+        std::to_string(gf(it->second).arity) + ", not " +
         std::to_string(arity));
   }
   return it->second;
 }
 
 Result<GfId> Schema::FindGenericFunction(std::string_view name) const {
-  auto it = gf_index_.find(Symbol::Intern(name));
-  if (it == gf_index_.end()) {
+  auto it = gf_index_->find(Symbol::Intern(name));
+  if (it == gf_index_->end()) {
     return Status::NotFound("no generic function named '" + std::string(name) +
                             "'");
   }
@@ -49,17 +49,17 @@ Result<GfId> Schema::FindGenericFunction(std::string_view name) const {
 }
 
 Result<MethodId> Schema::AddMethod(Method m) {
-  if (m.gf >= gfs_.size()) {
+  if (m.gf >= NumGenericFunctions()) {
     return Status::InvalidArgument("method references unknown generic function");
   }
-  GenericFunction& gf = gfs_[m.gf];
-  if (static_cast<int>(m.sig.params.size()) != gf.arity) {
+  const GenericFunction& owner = gf(m.gf);
+  if (static_cast<int>(m.sig.params.size()) != owner.arity) {
     return Status::InvalidArgument(
         "method '" + m.label.str() + "' has " +
         std::to_string(m.sig.params.size()) + " formals but '" +
-        gf.name.str() + "' has arity " + std::to_string(gf.arity));
+        owner.name.str() + "' has arity " + std::to_string(owner.arity));
   }
-  if (m.label.empty() || method_index_.count(m.label) > 0) {
+  if (m.label.empty() || method_index_->count(m.label) > 0) {
     return Status::AlreadyExists("method label '" + m.label.str() +
                                  "' missing or already in use");
   }
@@ -108,32 +108,38 @@ Result<MethodId> Schema::AddMethod(Method m) {
                                      "' must not have a body");
     }
   }
-  MethodId id = static_cast<MethodId>(methods_.size());
-  if (m.kind == MethodKind::kReader) readers_.emplace(m.attr, id);
-  if (m.kind == MethodKind::kMutator) mutators_.emplace(m.attr, id);
-  gf.methods.push_back(id);
-  method_index_.emplace(m.label, id);
-  methods_.push_back(std::move(m));
+  // Validated: the writes start here, and clone only the tables they touch.
+  MethodId id = static_cast<MethodId>(NumMethods());
+  if (m.kind == MethodKind::kReader) readers_.Mutable().emplace(m.attr, id);
+  if (m.kind == MethodKind::kMutator) mutators_.Mutable().emplace(m.attr, id);
+  gfs_.Mutable()[m.gf].methods.push_back(id);
+  method_index_.Mutable().emplace(m.label, id);
+  methods_.Mutable().push_back(std::make_shared<const Method>(std::move(m)));
   ++version_;
   return id;
 }
 
+void Schema::ReplaceMethod(MethodId id, Method edited) {
+  ++version_;
+  methods_.Mutable()[id] = std::make_shared<const Method>(std::move(edited));
+}
+
 Result<MethodId> Schema::FindMethod(std::string_view label) const {
-  auto it = method_index_.find(Symbol::Intern(label));
-  if (it == method_index_.end()) {
+  auto it = method_index_->find(Symbol::Intern(label));
+  if (it == method_index_->end()) {
     return Status::NotFound("no method labeled '" + std::string(label) + "'");
   }
   return it->second;
 }
 
 MethodId Schema::ReaderOf(AttrId attr) const {
-  auto it = readers_.find(attr);
-  return it == readers_.end() ? kInvalidMethod : it->second;
+  auto it = readers_->find(attr);
+  return it == readers_->end() ? kInvalidMethod : it->second;
 }
 
 MethodId Schema::MutatorOf(AttrId attr) const {
-  auto it = mutators_.find(attr);
-  return it == mutators_.end() ? kInvalidMethod : it->second;
+  auto it = mutators_->find(attr);
+  return it == mutators_->end() ? kInvalidMethod : it->second;
 }
 
 std::vector<TypeId> Schema::RemoveTypes(const std::vector<bool>& removed) {
@@ -151,10 +157,12 @@ std::vector<TypeId> Schema::RemoveTypes(const std::vector<bool>& removed) {
     copy->decl_type = renumber(e->decl_type);
     return copy;
   };
-  for (Method& m : methods_) {
+  for (std::shared_ptr<const Method>& entry : methods_.Mutable()) {
+    Method m = *entry;
     for (TypeId& t : m.sig.params) t = renumber(t);
     m.sig.result = renumber(m.sig.result);
     if (m.body != nullptr) m.body = RewriteBottomUp(m.body, renumber_decl);
+    entry = std::make_shared<const Method>(std::move(m));
   }
   ++version_;
   return new_id;
@@ -162,20 +170,20 @@ std::vector<TypeId> Schema::RemoveTypes(const std::vector<bool>& removed) {
 
 Status Schema::Validate() const {
   TYDER_RETURN_IF_ERROR(types_.Validate());
-  for (GfId g = 0; g < gfs_.size(); ++g) {
-    for (MethodId m : gfs_[g].methods) {
-      if (m >= methods_.size() || methods_[m].gf != g) {
-        return Status::Internal("generic function '" + gfs_[g].name.str() +
+  for (GfId g = 0; g < NumGenericFunctions(); ++g) {
+    for (MethodId m : gf(g).methods) {
+      if (m >= NumMethods() || method(m).gf != g) {
+        return Status::Internal("generic function '" + gf(g).name.str() +
                                 "' lists a method it does not own");
       }
     }
   }
-  for (MethodId id = 0; id < methods_.size(); ++id) {
-    const Method& m = methods_[id];
-    if (m.gf >= gfs_.size()) {
+  for (MethodId id = 0; id < NumMethods(); ++id) {
+    const Method& m = method(id);
+    if (m.gf >= NumGenericFunctions()) {
       return Status::Internal("method '" + m.label.str() + "' has bad gf id");
     }
-    if (static_cast<int>(m.sig.params.size()) != gfs_[m.gf].arity) {
+    if (static_cast<int>(m.sig.params.size()) != gf(m.gf).arity) {
       return Status::Internal("method '" + m.label.str() +
                               "' arity drifted from its generic function");
     }

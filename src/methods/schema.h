@@ -1,16 +1,25 @@
 // Schema: the complete unit the derivation algorithms operate on — a type
 // hierarchy plus the generic functions and methods defined over it. Schemas
-// are value types: copying one snapshots it (method bodies are immutable and
-// shared), which is how the behavior-preservation verifier compares the
-// hierarchy before and after a projection.
+// are value types: copying one snapshots it, which is how the
+// behavior-preservation verifier compares the hierarchy before and after a
+// projection. A copy shares every table with the original — the type graph's
+// four and the method table, the generic-function table and their four
+// indexes here (common/cow.h) — so it costs ten reference counts; each
+// mutator clones only the tables it writes, on its first write after a copy.
+// The method table's entries are immutable and shared too: cloning it copies
+// pointers, and a method write replaces one entry with an edited copy.
+// A reference from method(), gf() or the type graph's accessors must not be
+// held across a mutator: that first write moves the live table.
 
 #ifndef TYDER_METHODS_SCHEMA_H_
 #define TYDER_METHODS_SCHEMA_H_
 
+#include <memory>
 #include <string_view>
 #include <unordered_map>
 #include <vector>
 
+#include "common/cow.h"
 #include "common/result.h"
 #include "common/status.h"
 #include "methods/dispatch_index.h"
@@ -45,8 +54,8 @@ class Schema {
 
   Result<GfId> FindGenericFunction(std::string_view name) const;
 
-  size_t NumGenericFunctions() const { return gfs_.size(); }
-  const GenericFunction& gf(GfId id) const { return gfs_[id]; }
+  size_t NumGenericFunctions() const { return gfs_->size(); }
+  const GenericFunction& gf(GfId id) const { return (*gfs_)[id]; }
 
   // --- methods ---------------------------------------------------------------
 
@@ -55,19 +64,21 @@ class Schema {
   // attribute available at the formal type), duplicate signatures rejected.
   Result<MethodId> AddMethod(Method m);
 
-  size_t NumMethods() const { return methods_.size(); }
-  const Method& method(MethodId id) const { return methods_[id]; }
+  size_t NumMethods() const { return methods_->size(); }
+  const Method& method(MethodId id) const { return *(*methods_)[id]; }
   Result<MethodId> FindMethod(std::string_view label) const;
 
-  // FactorMethods rewrites signatures/bodies in place; these are the only
-  // mutators of a registered method.
+  // FactorMethods rewrites signatures/bodies; these are the only mutators of
+  // a registered method.
   void SetMethodSignature(MethodId id, Signature sig) {
-    ++version_;
-    methods_[id].sig = std::move(sig);
+    Method edited = method(id);
+    edited.sig = std::move(sig);
+    ReplaceMethod(id, std::move(edited));
   }
   void SetMethodBody(MethodId id, ExprPtr body) {
-    ++version_;
-    methods_[id].body = std::move(body);
+    Method edited = method(id);
+    edited.body = std::move(body);
+    ReplaceMethod(id, std::move(edited));
   }
 
   // Registered reader/mutator for an attribute (kInvalidMethod if none).
@@ -104,15 +115,18 @@ class Schema {
   }
 
  private:
+  // Entries may be shared with other schemas, so a write replaces one.
+  void ReplaceMethod(MethodId id, Method edited);
 
   TypeGraph types_;
   BuiltinTypes builtins_;
-  std::vector<GenericFunction> gfs_;
-  std::vector<Method> methods_;
-  std::unordered_map<Symbol, GfId, SymbolHash> gf_index_;
-  std::unordered_map<Symbol, MethodId, SymbolHash> method_index_;
-  std::unordered_map<AttrId, MethodId> readers_;
-  std::unordered_map<AttrId, MethodId> mutators_;
+  // The tables, shared copy-on-write between copies of the schema.
+  CowTable<std::vector<GenericFunction>> gfs_;
+  CowTable<std::vector<std::shared_ptr<const Method>>> methods_;
+  CowTable<std::unordered_map<Symbol, GfId, SymbolHash>> gf_index_;
+  CowTable<std::unordered_map<Symbol, MethodId, SymbolHash>> method_index_;
+  CowTable<std::unordered_map<AttrId, MethodId>> readers_;
+  CowTable<std::unordered_map<AttrId, MethodId>> mutators_;
 
   uint64_t version_ = 0;
   mutable DispatchIndexSlot dispatch_index_slot_;

@@ -94,36 +94,36 @@ Result<TypeId> TypeGraph::DeclareType(std::string_view name, TypeKind kind) {
     return Status::InvalidArgument("type name must be non-empty");
   }
   Symbol sym = Symbol::Intern(name);
-  if (type_index_.count(sym) > 0) {
+  if (type_index_->count(sym) > 0) {
     return Status::AlreadyExists("type '" + std::string(name) +
                                  "' already declared");
   }
-  TypeId id = static_cast<TypeId>(types_.size());
-  types_.emplace_back(sym, kind);
-  type_index_.emplace(sym, id);
+  TypeId id = static_cast<TypeId>(NumTypes());
+  types_.Mutable().emplace_back(sym, kind);
+  type_index_.Mutable().emplace(sym, id);
   Invalidate();  // new node: the closure has the wrong row count
   return id;
 }
 
 Result<TypeId> TypeGraph::DeclareSurrogate(std::string_view name,
                                            TypeId source) {
-  if (source >= types_.size()) {
+  if (source >= NumTypes()) {
     return Status::InvalidArgument("surrogate source out of range");
   }
   TYDER_ASSIGN_OR_RETURN(TypeId id, DeclareType(name, TypeKind::kSurrogate));
-  types_[id].set_surrogate_source(source);
+  types_.Mutable()[id].set_surrogate_source(source);
   return id;
 }
 
 Status TypeGraph::AddSupertype(TypeId sub, TypeId super) {
-  if (sub >= types_.size() || super >= types_.size()) {
+  if (sub >= NumTypes() || super >= NumTypes()) {
     return Status::InvalidArgument("type id out of range");
   }
   if (sub == super) {
     return Status::InvalidArgument("type '" + TypeName(sub) +
                                    "' cannot be its own supertype");
   }
-  if (types_[sub].HasDirectSupertype(super)) {
+  if (type(sub).HasDirectSupertype(super)) {
     return Status::AlreadyExists("'" + TypeName(super) +
                                  "' is already a direct supertype of '" +
                                  TypeName(sub) + "'");
@@ -136,7 +136,7 @@ Status TypeGraph::AddSupertype(TypeId sub, TypeId super) {
         "adding supertype '" + TypeName(super) + "' to '" + TypeName(sub) +
         "' would create a cycle");
   }
-  types_[sub].AppendSupertype(super);
+  types_.Mutable()[sub].AppendSupertype(super);
   // Chaos hook for the differential fuzzer (tests/fuzz): when armed, the
   // edge lands but the stale ancestor-bitset closure stays published — the
   // exact bug a forgotten Invalidate() would be. Memory-safe by construction
@@ -151,22 +151,22 @@ Status TypeGraph::AddSupertype(TypeId sub, TypeId super) {
 
 Result<AttrId> TypeGraph::DeclareAttribute(TypeId owner, std::string_view name,
                                            TypeId value_type) {
-  if (owner >= types_.size() || value_type >= types_.size()) {
+  if (owner >= NumTypes() || value_type >= NumTypes()) {
     return Status::InvalidArgument("type id out of range");
   }
   if (name.empty()) {
     return Status::InvalidArgument("attribute name must be non-empty");
   }
   Symbol sym = Symbol::Intern(name);
-  if (attr_index_.count(sym) > 0) {
+  if (attr_index_->count(sym) > 0) {
     return Status::AlreadyExists("attribute '" + std::string(name) +
                                  "' already declared (attribute names are "
                                  "globally unique)");
   }
-  AttrId id = static_cast<AttrId>(attrs_.size());
-  attrs_.push_back(AttributeDef{sym, value_type, owner});
-  attr_index_.emplace(sym, id);
-  types_[owner].AddLocalAttribute(id);
+  AttrId id = static_cast<AttrId>(NumAttributes());
+  attrs_.Mutable().push_back(AttributeDef{sym, value_type, owner});
+  attr_index_.Mutable().emplace(sym, id);
+  types_.Mutable()[owner].AddLocalAttribute(id);
   // No edge changed, but the version must still move: the catalog's op log
   // detects edits made outside it by a break in the version chain.
   Invalidate();
@@ -174,30 +174,34 @@ Result<AttrId> TypeGraph::DeclareAttribute(TypeId owner, std::string_view name,
 }
 
 Status TypeGraph::MoveAttribute(AttrId a, TypeId new_owner) {
-  if (a >= attrs_.size() || new_owner >= types_.size()) {
+  if (a >= NumAttributes() || new_owner >= NumTypes()) {
     return Status::InvalidArgument("id out of range");
   }
-  TypeId old_owner = attrs_[a].owner;
+  TypeId old_owner = attribute(a).owner;
   if (old_owner == new_owner) return Status::OK();
-  if (!types_[old_owner].RemoveLocalAttribute(a)) {
-    return Status::Internal("attribute '" + attrs_[a].name.str() +
+  std::vector<Type>& types = types_.Mutable();
+  if (!types[old_owner].RemoveLocalAttribute(a)) {
+    return Status::Internal("attribute '" + attribute(a).name.str() +
                             "' missing from owner's local list");
   }
-  attrs_[a].owner = new_owner;
-  types_[new_owner].AddLocalAttribute(a);
+  attrs_.Mutable()[a].owner = new_owner;
+  types[new_owner].AddLocalAttribute(a);
   return Status::OK();
 }
 
 std::vector<TypeId> TypeGraph::RemoveTypes(const std::vector<bool>& removed) {
-  std::vector<TypeId> new_id(types_.size(), kInvalidType);
+  std::vector<Type>& types = types_.Mutable();
+  std::vector<TypeId> new_id(types.size(), kInvalidType);
   std::vector<Type> kept;
-  kept.reserve(types_.size());
-  for (TypeId t = 0; t < types_.size(); ++t) {
+  kept.reserve(types.size());
+  for (TypeId t = 0; t < types.size(); ++t) {
     if (removed[t]) continue;
     new_id[t] = static_cast<TypeId>(kept.size());
-    kept.push_back(std::move(types_[t]));
+    kept.push_back(std::move(types[t]));
   }
-  type_index_.clear();
+  // Every name moves, so the index is rebuilt rather than cloned.
+  type_index_ = {};
+  auto& type_index = type_index_.Mutable();
   for (TypeId t = 0; t < kept.size(); ++t) {
     Type& type = kept[t];
     type.RenumberSupertypes(new_id);
@@ -205,14 +209,14 @@ std::vector<TypeId> TypeGraph::RemoveTypes(const std::vector<bool>& removed) {
     // descends in id and ends at a surviving type or at none.
     TypeId source = type.surrogate_source();
     while (source != kInvalidType && removed[source]) {
-      source = types_[source].surrogate_source();
+      source = types[source].surrogate_source();
     }
     type.set_surrogate_source(source == kInvalidType ? kInvalidType
                                                      : new_id[source]);
-    type_index_.emplace(type.name(), t);
+    type_index.emplace(type.name(), t);
   }
-  types_ = std::move(kept);
-  for (AttributeDef& attr : attrs_) {
+  types = std::move(kept);
+  for (AttributeDef& attr : attrs_.Mutable()) {
     attr.owner = new_id[attr.owner];
     attr.value_type = new_id[attr.value_type];
   }
@@ -221,16 +225,16 @@ std::vector<TypeId> TypeGraph::RemoveTypes(const std::vector<bool>& removed) {
 }
 
 Result<TypeId> TypeGraph::FindType(std::string_view name) const {
-  auto it = type_index_.find(Symbol::Intern(name));
-  if (it == type_index_.end()) {
+  auto it = type_index_->find(Symbol::Intern(name));
+  if (it == type_index_->end()) {
     return Status::NotFound("no type named '" + std::string(name) + "'");
   }
   return it->second;
 }
 
 Result<AttrId> TypeGraph::FindAttribute(std::string_view name) const {
-  auto it = attr_index_.find(Symbol::Intern(name));
-  if (it == attr_index_.end()) {
+  auto it = attr_index_->find(Symbol::Intern(name));
+  if (it == attr_index_->end()) {
     return Status::NotFound("no attribute named '" + std::string(name) + "'");
   }
   return it->second;
@@ -266,7 +270,7 @@ const TypeGraph::Closure* TypeGraph::BuildClosure() const {
   // Allocation (or recycling) only: rows are filled on demand by BuildRow,
   // so a mutation followed by a handful of queries pays for those rows, not
   // for the whole O(types × edges) closure.
-  const size_t n = types_.size();
+  const size_t n = NumTypes();
   std::unique_ptr<Closure> built;
   if (closure_spare_ != nullptr && closure_spare_->rows_cap >= n) {
     built = std::move(closure_spare_);
@@ -314,7 +318,7 @@ void TypeGraph::BuildRow(const Closure* c, TypeId root) const {
   while (!queue.empty()) {
     TypeId t = queue.back();
     queue.pop_back();
-    for (TypeId s : types_[t].supertypes()) {
+    for (TypeId s : type(t).supertypes()) {
       uint64_t& w = row[s >> 6];
       const uint64_t bit = uint64_t{1} << (s & 63);
       if ((w & bit) == 0) {
@@ -327,13 +331,13 @@ void TypeGraph::BuildRow(const Closure* c, TypeId root) const {
 }
 
 bool TypeGraph::UncachedWalk(TypeId a, TypeId b) const {
-  std::vector<bool> seen(types_.size(), false);
+  std::vector<bool> seen(NumTypes(), false);
   std::deque<TypeId> queue{a};
   seen[a] = true;
   while (!queue.empty()) {
     TypeId t = queue.front();
     queue.pop_front();
-    for (TypeId s : types_[t].supertypes()) {
+    for (TypeId s : type(t).supertypes()) {
       if (s == b) return true;
       if (!seen[s]) {
         seen[s] = true;
@@ -363,7 +367,7 @@ std::span<const uint64_t> TypeGraph::AncestorRow(TypeId t) const {
 }
 
 std::vector<TypeId> TypeGraph::SupertypeClosure(TypeId t) const {
-  std::vector<bool> seen(types_.size(), false);
+  std::vector<bool> seen(NumTypes(), false);
   std::vector<TypeId> order;
   std::deque<TypeId> queue{t};
   seen[t] = true;
@@ -371,7 +375,7 @@ std::vector<TypeId> TypeGraph::SupertypeClosure(TypeId t) const {
     TypeId cur = queue.front();
     queue.pop_front();
     order.push_back(cur);
-    for (TypeId s : types_[cur].supertypes()) {
+    for (TypeId s : type(cur).supertypes()) {
       if (!seen[s]) {
         seen[s] = true;
         queue.push_back(s);
@@ -385,7 +389,7 @@ std::vector<TypeId> TypeGraph::SubtypeClosure(TypeId t) const {
   // Supertype edges are stored sub -> super; with the bitset closure this is
   // one column scan (word-test per candidate).
   std::vector<TypeId> out;
-  for (TypeId cand = 0; cand < types_.size(); ++cand) {
+  for (TypeId cand = 0; cand < NumTypes(); ++cand) {
     if (IsSubtype(cand, t)) out.push_back(cand);
   }
   return out;
@@ -394,7 +398,7 @@ std::vector<TypeId> TypeGraph::SubtypeClosure(TypeId t) const {
 std::vector<AttrId> TypeGraph::CumulativeAttributes(TypeId t) const {
   std::vector<AttrId> out;
   for (TypeId s : SupertypeClosure(t)) {
-    for (AttrId a : types_[s].local_attributes()) {
+    for (AttrId a : type(s).local_attributes()) {
       // Diamond paths visit each type once (closure is deduplicated), and an
       // attribute has exactly one owner, so no further dedup is needed.
       out.push_back(a);
@@ -404,7 +408,7 @@ std::vector<AttrId> TypeGraph::CumulativeAttributes(TypeId t) const {
 }
 
 bool TypeGraph::AttributeAvailableAt(TypeId t, AttrId a) const {
-  return IsSubtype(t, attrs_[a].owner);
+  return IsSubtype(t, attribute(a).owner);
 }
 
 namespace {
@@ -442,10 +446,10 @@ Status TypeGraph::Validate() const {
   // Edge indices in range and acyclic. The exact DAG walks, not the closure,
   // since cycle detection must work even on the malformed graphs the closure
   // build skips over; they run only to name the cycle one pass found.
-  const bool acyclic = EdgesAcyclic(types_);
-  for (TypeId t = 0; t < types_.size(); ++t) {
-    for (TypeId s : types_[t].supertypes()) {
-      if (s >= types_.size()) {
+  const bool acyclic = EdgesAcyclic(*types_);
+  for (TypeId t = 0; t < NumTypes(); ++t) {
+    for (TypeId s : type(t).supertypes()) {
+      if (s >= NumTypes()) {
         return Status::Internal("supertype id out of range for '" +
                                 TypeName(t) + "'");
       }
@@ -456,7 +460,7 @@ Status TypeGraph::Validate() const {
     }
     // Duplicate direct supertypes are ill-formed (precedence is a strict
     // order over direct supertypes).
-    std::vector<TypeId> supers = types_[t].supertypes();
+    std::vector<TypeId> supers = type(t).supertypes();
     std::sort(supers.begin(), supers.end());
     if (std::adjacent_find(supers.begin(), supers.end()) != supers.end()) {
       return Status::Internal("duplicate direct supertype on '" +
@@ -464,22 +468,22 @@ Status TypeGraph::Validate() const {
     }
   }
   // Attribute ownership consistent with local lists.
-  for (AttrId a = 0; a < attrs_.size(); ++a) {
-    const AttributeDef& def = attrs_[a];
-    if (def.owner >= types_.size() || def.value_type >= types_.size()) {
+  for (AttrId a = 0; a < NumAttributes(); ++a) {
+    const AttributeDef& def = attribute(a);
+    if (def.owner >= NumTypes() || def.value_type >= NumTypes()) {
       return Status::Internal("attribute '" + def.name.str() +
                               "' references out-of-range type");
     }
-    const auto& local = types_[def.owner].local_attributes();
+    const auto& local = type(def.owner).local_attributes();
     if (std::find(local.begin(), local.end(), a) == local.end()) {
       return Status::Internal("attribute '" + def.name.str() +
                               "' not listed by its owner '" +
                               TypeName(def.owner) + "'");
     }
   }
-  for (TypeId t = 0; t < types_.size(); ++t) {
-    for (AttrId a : types_[t].local_attributes()) {
-      if (a >= attrs_.size() || attrs_[a].owner != t) {
+  for (TypeId t = 0; t < NumTypes(); ++t) {
+    for (AttrId a : type(t).local_attributes()) {
+      if (a >= NumAttributes() || attribute(a).owner != t) {
         return Status::Internal("type '" + TypeName(t) +
                                 "' lists an attribute it does not own");
       }

@@ -16,6 +16,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/cow.h"
 #include "common/result.h"
 #include "common/status.h"
 #include "common/symbol.h"
@@ -28,9 +29,15 @@ class TypeGraph {
  public:
   TypeGraph() = default;
 
-  // The ancestor closure is a derived cache, never copied or moved: a copy
-  // starts cold and rebuilds on its first query (see SubtypeCacheTest.
+  // A copy shares the type table, the attribute table and both name indexes
+  // with the original (common/cow.h): it costs four reference counts, and
+  // each mutator clones only the tables it writes, on its first write. The
+  // ancestor closure is a derived cache, never copied or moved: a copy starts
+  // cold and rebuilds on its first query (see SubtypeCacheTest.
   // CopiedGraphHasIndependentCache).
+  //
+  // A reference from type(), attribute() or mutable_type() must not be held
+  // across a mutator: the first write after a copy moves the live table.
   TypeGraph(const TypeGraph& other);
   TypeGraph& operator=(const TypeGraph& other);
   TypeGraph(TypeGraph&& other) noexcept;
@@ -68,22 +75,22 @@ class TypeGraph {
 
   // --- lookup --------------------------------------------------------------
 
-  size_t NumTypes() const { return types_.size(); }
-  size_t NumAttributes() const { return attrs_.size(); }
+  size_t NumTypes() const { return types_->size(); }
+  size_t NumAttributes() const { return attrs_->size(); }
 
-  const Type& type(TypeId t) const { return types_[t]; }
+  const Type& type(TypeId t) const { return (*types_)[t]; }
   // Handing out a mutable node may change the edge structure, so this
   // conservatively invalidates the subtype closure.
   Type& mutable_type(TypeId t) {
     Invalidate();
-    return types_[t];
+    return types_.Mutable()[t];
   }
 
-  const AttributeDef& attribute(AttrId a) const { return attrs_[a]; }
+  const AttributeDef& attribute(AttrId a) const { return (*attrs_)[a]; }
 
   Result<TypeId> FindType(std::string_view name) const;
   Result<AttrId> FindAttribute(std::string_view name) const;
-  std::string TypeName(TypeId t) const { return types_[t].name().str(); }
+  std::string TypeName(TypeId t) const { return type(t).name().str(); }
 
   // Mutation counter. Any (possible) change to the node/edge structure or
   // the attributes bumps it; derived caches (the closure below, Schema's
@@ -181,10 +188,11 @@ class TypeGraph {
   // concurrent readers could otherwise still be dereferencing.
   void Invalidate();
 
-  std::vector<Type> types_;
-  std::vector<AttributeDef> attrs_;
-  std::unordered_map<Symbol, TypeId, SymbolHash> type_index_;
-  std::unordered_map<Symbol, AttrId, SymbolHash> attr_index_;
+  // The tables, shared copy-on-write between copies of the graph.
+  CowTable<std::vector<Type>> types_;
+  CowTable<std::vector<AttributeDef>> attrs_;
+  CowTable<std::unordered_map<Symbol, TypeId, SymbolHash>> type_index_;
+  CowTable<std::unordered_map<Symbol, AttrId, SymbolHash>> attr_index_;
 
   uint64_t version_ = 0;
   bool cache_enabled_ = true;

@@ -255,6 +255,7 @@ void DurableCatalog::AbsorbFailureLocked(const Status& cause) {
 //
 //   lock writer_mu → absorb any unconsumed failure → refuse if degraded
 //   → apply the op to the tip (all-or-nothing via its SchemaTransaction)
+//   → return at once if the op changed nothing
 //   → assign the next lsn, stash the tip snapshot for the leader to publish
 //   → enqueue the record, UNLOCK, wait for the batch fsync
 //
@@ -272,8 +273,19 @@ ResultT DurableCatalog::CommitLogged(std::string payload, OpFn&& op) {
   }
   if (!degraded_.ok()) return degraded_;
 
+  const uint64_t version = catalog_->schema().version();
+  const size_t log_length = catalog_->log().size();
   ResultT applied = op();
   if (!applied.ok()) return applied;  // refused by the catalog: tip untouched
+  // The catalog's own rule for logging (Catalog::Logged): an op that left the
+  // schema version where it was changed nothing, so it gets no lsn, no record
+  // and no publish. It claims nothing durable, so it does not wait for
+  // records still in flight either. A define or a drop always changes the
+  // log, whatever version it lands on.
+  if (catalog_->schema().version() == version &&
+      catalog_->log().size() == log_length) {
+    return applied;
+  }
 
   uint64_t lsn = ++state_->tip_lsn;
   {

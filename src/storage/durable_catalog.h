@@ -163,7 +163,8 @@ class DurableCatalog {
   // Same contracts as the Catalog methods; additionally, on OK the operation
   // is on stable storage, and on failure it is rolled back in memory (the
   // WAL tail is restored durably, see WalWriter::Append). All refuse with
-  // degraded_status() while degraded.
+  // degraded_status() while degraded. An op that changes nothing (a Collapse
+  // that finds nothing) writes no record and takes no lsn.
 
   Result<const ViewDef*> DefineProjectionView(
       std::string_view name, std::string_view source_type,

@@ -96,6 +96,36 @@ TEST(DurableCatalogTest, DropAndCollapseAreLoggedAndReplayed) {
   EXPECT_EQ(SerializeCatalog(reopened->catalog()), expected);
 }
 
+// A Collapse that finds nothing changes nothing, so it writes nothing: no
+// lsn, no WAL record, and the reopened catalog is the one before it.
+TEST(DurableCatalogTest, AnOpThatChangesNothingWritesNothing) {
+  std::string dir = FreshDir("noop");
+  std::string expected;
+  uint64_t lsn = 0;
+  uintmax_t wal_bytes = 0;
+  {
+    auto db = OpenSeeded(dir);
+    ASSERT_TRUE(db.ok()) << db.status();
+    ASSERT_TRUE(db->DefineProjectionView("V1", "Employee", {"SSN"}).ok());
+    expected = SerializeCatalog(db->catalog());
+    lsn = db->last_lsn();
+    wal_bytes = fs::file_size(dir + "/wal.log");
+    for (int i = 0; i < 3; ++i) {
+      auto report = db->Collapse();
+      ASSERT_TRUE(report.ok()) << report.status();
+      EXPECT_TRUE(report->collapsed.empty());
+      EXPECT_EQ(db->last_lsn(), lsn);
+      EXPECT_EQ(fs::file_size(dir + "/wal.log"), wal_bytes);
+    }
+    EXPECT_EQ(SerializeCatalog(db->catalog()), expected);
+  }
+  auto reopened = DurableCatalog::Open(dir);
+  ASSERT_TRUE(reopened.ok()) << reopened.status();
+  EXPECT_EQ(reopened->last_lsn(), lsn);
+  EXPECT_EQ(reopened->recovery().replayed_records, 1u);
+  EXPECT_EQ(SerializeCatalog(reopened->catalog()), expected);
+}
+
 TEST(DurableCatalogTest, NoVerifyDerivationsReplayWithVerificationOff) {
   std::string dir = FreshDir("noverify");
   std::string expected;

@@ -56,11 +56,31 @@ Result<DurableCatalog> OpenSeeded(const std::string& dir, Env* env = nullptr) {
   return db;
 }
 
+// Example 1 after its projection: ~F is left empty and unreferenced, so a
+// Collapse removes it and writes a record (a Collapse that finds nothing
+// writes none, and would leave the matrix no Env call to fault).
+Result<DurableCatalog> OpenSeededExample1(const std::string& dir,
+                                          Env* env = nullptr) {
+  auto fx = testing::BuildExample1();
+  if (!fx.ok()) return fx.status();
+  std::vector<std::string> projection;
+  for (AttrId a : fx->Projection()) {
+    projection.push_back(fx->schema.types().attribute(a).name.str());
+  }
+  TYDER_ASSIGN_OR_RETURN(DurableCatalog db, DurableCatalog::Open(dir, env));
+  TYDER_RETURN_IF_ERROR(db.Seed(Catalog(std::move(fx->schema))));
+  TYDER_RETURN_IF_ERROR(
+      db.DefineProjectionView("W1", "A", projection).status());
+  return db;
+}
+
 using OpFn = std::function<Status(DurableCatalog&)>;
+using SeedFn = std::function<Result<DurableCatalog>(const std::string&, Env*)>;
 
 struct OpCase {
   std::string name;
   OpFn run;
+  SeedFn seed = OpenSeeded;
 };
 
 Status RunProject(DurableCatalog& db) {
@@ -95,7 +115,7 @@ void RunCell(const OpCase& op, const FaultCell& cell, const std::string& pre,
   FaultyEnv env;
   Status status;
   {
-    auto db = OpenSeeded(dir, &env);
+    auto db = op.seed(dir, &env);
     ASSERT_TRUE(db.ok()) << db.status();
     ASSERT_EQ(SerializeCatalog(db->catalog()), pre);
     env.ResetCounters();
@@ -144,7 +164,7 @@ void RunMatrix(const OpCase& op) {
   std::string pre, post;
   {
     std::string dir = FreshDir(op.name + "_ref");
-    auto db = OpenSeeded(dir);
+    auto db = op.seed(dir, nullptr);
     ASSERT_TRUE(db.ok()) << db.status();
     pre = SerializeCatalog(db->catalog());
     Status applied = op.run(*db);
@@ -157,7 +177,7 @@ void RunMatrix(const OpCase& op) {
   {
     std::string dir = FreshDir(op.name + "_count");
     FaultyEnv env;
-    auto db = OpenSeeded(dir, &env);
+    auto db = op.seed(dir, &env);
     ASSERT_TRUE(db.ok()) << db.status();
     env.ResetCounters();
     Status applied = op.run(*db);
@@ -201,7 +221,7 @@ TEST(IoFaultMatrixTest, DropViewSurvivesEveryEnvFault) {
 }
 
 TEST(IoFaultMatrixTest, CollapseSurvivesEveryEnvFault) {
-  RunMatrix({"collapse", RunCollapse});
+  RunMatrix({"collapse", RunCollapse, OpenSeededExample1});
 }
 
 TEST(IoFaultMatrixTest, CompactionSurvivesEveryEnvFault) {
